@@ -1,10 +1,9 @@
 //! Microbenchmarks of the simulation hot path: the timer-wheel scheduler
-//! against the binary heap it replaced, batch slot drain against the
-//! per-event loop it replaced, kind-grouped dispatch against per-event
-//! dispatch, SoA column scans against record scans, the incremental
-//! routing index against the full admission scan, the incremental
-//! plan-cache signature against recomputing it from the free-slice list,
-//! and an end-to-end run that exercises every hot-path change at once.
+//! against the binary heap it replaced, SoA column scans against record
+//! scans, the incremental routing index against the full admission scan,
+//! the incremental plan-cache signature against recomputing it from the
+//! free-slice list, and an end-to-end run that exercises every hot-path
+//! change at once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::BinaryHeap;
@@ -14,7 +13,7 @@ use ffs_mig::{Fleet, GpuId, NodeId, SliceId, SliceProfile};
 use ffs_pipeline::plan::StagePlan;
 use ffs_pipeline::{DeploymentPlan, InstanceEstimate};
 use ffs_profile::{App, FunctionProfile, PerfModel, Variant};
-use ffs_sim::{run_until, run_until_stepwise, Scheduler, SimTime, World};
+use ffs_sim::{run_until, Scheduler, SimTime, World};
 use ffs_trace::{AzureTraceConfig, WorkloadClass};
 use fluidfaas::instance::{Instance, Phase, StageTimings};
 use fluidfaas::plancache::{slice_signature, PlanCache};
@@ -131,223 +130,6 @@ fn bench_scheduler_push_pop(c: &mut Criterion) {
                 }
             }
             black_box(last)
-        })
-    });
-    g.finish();
-}
-
-// ---------------------------------------------------------------------
-// Batch slot drain vs per-event drain
-// ---------------------------------------------------------------------
-
-/// Follow-up deltas quantized to a 1 ms grid with 128 distinct values:
-/// a standing population of 1k events collapses onto ~128 future slots,
-/// so L0 slots hold multi-event batches — the shape the batched loop is
-/// built for (simultaneous arrivals, same-tick completions).
-fn bursty_delta(rng: &mut u64) -> u64 {
-    (1 + xorshift(rng) % 128) * 1_000
-}
-
-struct BurstChurn {
-    remaining: usize,
-    rng: u64,
-}
-
-impl World for BurstChurn {
-    type Event = u32;
-    fn handle(&mut self, _t: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            let d = bursty_delta(&mut self.rng);
-            sched.after(ffs_sim::SimDuration::from_micros(d), ev);
-        }
-    }
-}
-
-/// The batched drive loop (`run_until`: one clock update, one deadline
-/// check, one obs flush per same-timestamp batch) against the per-event
-/// loop it replaced (`run_until_stepwise`). Identical programs, identical
-/// delivery order — the property tests pin that — so the delta is pure
-/// loop overhead.
-fn bench_batch_drain(c: &mut Criterion) {
-    // Seeds on the same 1 ms grid as the follow-up deltas, so every event
-    // the program ever schedules shares a timestamp with ~7 others.
-    let seeds: Vec<u64> = {
-        let mut x = SEED;
-        (0..PENDING)
-            .map(|_| (xorshift(&mut x) % 128) * 1_000)
-            .collect()
-    };
-    let mut g = c.benchmark_group("drain_bursty_1k_pending");
-    g.bench_function("batched", |b| {
-        b.iter(|| {
-            let mut w = BurstChurn {
-                remaining: CHURN_OPS,
-                rng: SEED,
-            };
-            let mut s: Scheduler<u32> = Scheduler::new();
-            for (i, &t) in seeds.iter().enumerate() {
-                s.at(SimTime::from_micros(t), i as u32);
-            }
-            run_until(&mut w, &mut s, SimTime::MAX);
-            black_box(s.now())
-        })
-    });
-    g.bench_function("per_event", |b| {
-        b.iter(|| {
-            let mut w = BurstChurn {
-                remaining: CHURN_OPS,
-                rng: SEED,
-            };
-            let mut s: Scheduler<u32> = Scheduler::new();
-            for (i, &t) in seeds.iter().enumerate() {
-                s.at(SimTime::from_micros(t), i as u32);
-            }
-            run_until_stepwise(&mut w, &mut s, SimTime::MAX);
-            black_box(s.now())
-        })
-    });
-    g.finish();
-}
-
-// ---------------------------------------------------------------------
-// Kind-grouped dispatch vs per-event dispatch
-// ---------------------------------------------------------------------
-
-/// The handler work both dispatch arms share: a tiny per-kind body plus
-/// the bursty follow-up push — the engine's dispatch shape without the
-/// platform state behind it.
-struct KindChurn {
-    remaining: usize,
-    rng: u64,
-    acc: u64,
-}
-
-impl KindChurn {
-    #[inline]
-    fn push(&mut self, ev: u32, sched: &mut Scheduler<u32>) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            let d = bursty_delta(&mut self.rng);
-            sched.after(ffs_sim::SimDuration::from_micros(d), ev);
-        }
-    }
-
-    /// Per-event dispatch: one match per event.
-    #[inline]
-    fn step_one(&mut self, ev: u32, sched: &mut Scheduler<u32>) {
-        match ev % 4 {
-            0 => self.acc = self.acc.wrapping_add(1),
-            1 => self.acc = self.acc.wrapping_mul(3),
-            2 => self.acc ^= u64::from(ev),
-            _ => self.acc = self.acc.rotate_left(7),
-        }
-        self.push(ev, sched);
-    }
-}
-
-/// Kind-grouped: `kind_of` splits batches into homogeneous runs and
-/// `handle_run` matches the kind once, then runs a kind-specialized
-/// inner loop.
-struct GroupedChurn(KindChurn);
-
-impl World for GroupedChurn {
-    type Event = u32;
-
-    fn handle(&mut self, _t: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-        self.0.step_one(ev, sched);
-    }
-
-    fn kind_of(&self, ev: &u32) -> u16 {
-        (ev % 4) as u16
-    }
-
-    fn handle_run(
-        &mut self,
-        _t: SimTime,
-        kind: u16,
-        run: std::vec::Drain<'_, u32>,
-        sched: &mut Scheduler<u32>,
-    ) {
-        let w = &mut self.0;
-        match kind {
-            0 => {
-                for ev in run {
-                    w.acc = w.acc.wrapping_add(1);
-                    w.push(ev, sched);
-                }
-            }
-            1 => {
-                for ev in run {
-                    w.acc = w.acc.wrapping_mul(3);
-                    w.push(ev, sched);
-                }
-            }
-            2 => {
-                for ev in run {
-                    w.acc ^= u64::from(ev);
-                    w.push(ev, sched);
-                }
-            }
-            _ => {
-                for ev in run {
-                    w.acc = w.acc.rotate_left(7);
-                    w.push(ev, sched);
-                }
-            }
-        }
-    }
-}
-
-/// Per-event: constant `kind_of` (the default), so `handle_run`'s default
-/// body calls `handle` — and its match — once per event.
-struct PerEventChurn(KindChurn);
-
-impl World for PerEventChurn {
-    type Event = u32;
-    fn handle(&mut self, _t: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-        self.0.step_one(ev, sched);
-    }
-}
-
-/// Kind-grouped dispatch against per-event dispatch, inside the same
-/// batched drive loop. The programs are identical; the delta is the
-/// amortization — one kind match and one dispatch span per run instead of
-/// per event.
-fn bench_grouped_dispatch(c: &mut Criterion) {
-    let seeds: Vec<u64> = {
-        let mut x = SEED;
-        (0..PENDING)
-            .map(|_| (xorshift(&mut x) % 128) * 1_000)
-            .collect()
-    };
-    let churn = || KindChurn {
-        remaining: CHURN_OPS,
-        rng: SEED,
-        acc: 0,
-    };
-    let load = |s: &mut Scheduler<u32>| {
-        for (i, &t) in seeds.iter().enumerate() {
-            s.at(SimTime::from_micros(t), i as u32);
-        }
-    };
-    let mut g = c.benchmark_group("dispatch_bursty_1k_pending");
-    g.bench_function("kind_grouped", |b| {
-        b.iter(|| {
-            let mut w = GroupedChurn(churn());
-            let mut s: Scheduler<u32> = Scheduler::new();
-            load(&mut s);
-            run_until(&mut w, &mut s, SimTime::MAX);
-            black_box(w.0.acc)
-        })
-    });
-    g.bench_function("per_event", |b| {
-        b.iter(|| {
-            let mut w = PerEventChurn(churn());
-            let mut s: Scheduler<u32> = Scheduler::new();
-            load(&mut s);
-            run_until(&mut w, &mut s, SimTime::MAX);
-            black_box(w.0.acc)
         })
     });
     g.finish();
@@ -546,8 +328,6 @@ fn bench_end_to_end(c: &mut Criterion) {
 criterion_group!(
     hotpath,
     bench_scheduler_push_pop,
-    bench_batch_drain,
-    bench_grouped_dispatch,
     bench_soa_scan,
     bench_route_index,
     bench_plan_cache_hit,

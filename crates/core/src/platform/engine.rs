@@ -1016,13 +1016,13 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Hot event handlers. One inherent method per hot variant so the
-    // `World::handle` match and the kind-homogeneous `handle_run` loops
-    // share one body. Routing is skipped (no span, no virtual call) when
-    // the function's backlog is empty: every router's dispatch loop is
-    // headed by `while pending[f].front()`, so an empty backlog makes the
-    // call side-effect-free — the skip cannot move an output bit, it only
-    // removes no-op RoutingScan spans from the profile.
+    // Hot event handlers: one inherent method per hot variant, so the
+    // `World::handle` match stays a flat dispatch table and each handler
+    // reads on its own. Routing is skipped (no span, no virtual call)
+    // when the function's backlog is empty: every router's dispatch loop
+    // is headed by `while pending[f].front()`, so an empty backlog makes
+    // the call side-effect-free — the skip cannot move an output bit, it
+    // only removes no-op RoutingScan spans from the profile.
     // ------------------------------------------------------------------
 
     #[inline]
@@ -1190,88 +1190,11 @@ impl World for Engine {
             ev => self.handle_control(now, ev, sched),
         }
     }
-
-    #[inline]
-    fn kind_of(&self, ev: &Event) -> u16 {
-        ev.kind_index()
-    }
-
-    /// Kind-specialized dispatch: the variant match runs once per run and
-    /// each hot arm is a tight loop over one already-known variant —
-    /// same-timestamp bursts (a pipeline's stage completions, an arrival
-    /// wave) no longer pay the 12-way dispatch per event. The cold control
-    /// variants share one kind and fall back to the per-event reference
-    /// path; every arm's per-event semantics are exactly [`World::handle`]'s
-    /// (pinned by the batch-equivalence property tests).
-    fn handle_run(
-        &mut self,
-        now: SimTime,
-        kind: u16,
-        run: std::vec::Drain<'_, Event>,
-        sched: &mut Scheduler<Event>,
-    ) {
-        match kind {
-            Event::KIND_ARRIVAL => {
-                for ev in run {
-                    let Event::Arrival(id) = ev else {
-                        unreachable!("kind-homogeneous run mixed variants")
-                    };
-                    self.on_arrival(now, id, sched);
-                }
-            }
-            Event::KIND_INSTANCE_READY => {
-                for ev in run {
-                    let Event::InstanceReady(id) = ev else {
-                        unreachable!("kind-homogeneous run mixed variants")
-                    };
-                    self.on_instance_ready(now, id, sched);
-                }
-            }
-            Event::KIND_STAGE_DONE => {
-                for ev in run {
-                    let Event::StageDone { inst, stage, req } = ev else {
-                        unreachable!("kind-homogeneous run mixed variants")
-                    };
-                    self.on_stage_done_event(now, inst, stage, req, sched);
-                }
-            }
-            Event::KIND_TRANSFER_DONE => {
-                for ev in run {
-                    let Event::TransferDone { inst, stage, req } = ev else {
-                        unreachable!("kind-homogeneous run mixed variants")
-                    };
-                    self.on_transfer_done(now, inst, stage, req, sched);
-                }
-            }
-            Event::KIND_SHARED_LOAD_DONE => {
-                for ev in run {
-                    let Event::SharedLoadDone { slot, req } = ev else {
-                        unreachable!("kind-homogeneous run mixed variants")
-                    };
-                    self.on_shared_load_done(now, slot, req, sched);
-                }
-            }
-            Event::KIND_SHARED_DONE => {
-                for ev in run {
-                    let Event::SharedDone { slot, req } = ev else {
-                        unreachable!("kind-homogeneous run mixed variants")
-                    };
-                    self.on_shared_done(now, slot, req, sched);
-                }
-            }
-            _ => {
-                for ev in run {
-                    self.handle(now, ev, sched);
-                }
-            }
-        }
-    }
 }
 
 impl Engine {
     /// The cold control variants (ticks, keep-alive sweeps, faults,
-    /// retries): rare enough that they share one dispatch kind and stay on
-    /// the per-event path.
+    /// retries): rare enough to share one out-of-line handler.
     fn handle_control(&mut self, now: SimTime, ev: Event, sched: &mut Scheduler<Event>) {
         let Engine { core, policies } = self;
         match ev {
@@ -1476,8 +1399,8 @@ impl Engine {
                     .router
                     .dispatch(core, &*policies.shared, f, now, sched);
             }
-            // Hot variants go through `handle`/`handle_run` and never
-            // reach the control path.
+            // Hot variants are matched first in `handle` and never reach
+            // the control path.
             _ => unreachable!("handle_control received a hot event"),
         }
     }

@@ -66,46 +66,6 @@ pub enum Event {
 }
 
 impl Event {
-    /// [`Event::kind_index`] of `Arrival`.
-    pub const KIND_ARRIVAL: u16 = 0;
-    /// [`Event::kind_index`] of `InstanceReady`.
-    pub const KIND_INSTANCE_READY: u16 = 1;
-    /// [`Event::kind_index`] of `StageDone`.
-    pub const KIND_STAGE_DONE: u16 = 2;
-    /// [`Event::kind_index`] of `TransferDone`.
-    pub const KIND_TRANSFER_DONE: u16 = 3;
-    /// [`Event::kind_index`] of `SharedLoadDone`.
-    pub const KIND_SHARED_LOAD_DONE: u16 = 4;
-    /// [`Event::kind_index`] of `SharedDone`.
-    pub const KIND_SHARED_DONE: u16 = 5;
-    /// [`Event::kind_index`] of every cold control variant (`ScaleTick`,
-    /// `KeepAlive`, faults, `Retry`). They share one kind: grouping only
-    /// has to keep the *hot* run loops homogeneous, and lumping the rare
-    /// variants together avoids splitting a batch over distinctions the
-    /// dispatcher's fallback arm ignores anyway.
-    pub const KIND_CONTROL: u16 = 6;
-
-    /// Dense discriminant for the engine's kind-homogeneous batch
-    /// dispatch: `run_until` groups same-timestamp events by this value
-    /// and the engine's `handle_run` matches on it once per run.
-    #[inline]
-    pub fn kind_index(&self) -> u16 {
-        match self {
-            Event::Arrival(_) => Self::KIND_ARRIVAL,
-            Event::InstanceReady(_) => Self::KIND_INSTANCE_READY,
-            Event::StageDone { .. } => Self::KIND_STAGE_DONE,
-            Event::TransferDone { .. } => Self::KIND_TRANSFER_DONE,
-            Event::SharedLoadDone { .. } => Self::KIND_SHARED_LOAD_DONE,
-            Event::SharedDone { .. } => Self::KIND_SHARED_DONE,
-            Event::ScaleTick
-            | Event::KeepAlive(_)
-            | Event::Fault(_)
-            | Event::Repair(_)
-            | Event::Recover(_)
-            | Event::Retry(_) => Self::KIND_CONTROL,
-        }
-    }
-
     /// Stable snake_case tag for trace/diagnostic output.
     pub fn kind(&self) -> &'static str {
         match self {

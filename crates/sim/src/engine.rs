@@ -35,36 +35,6 @@ pub trait World {
 
     /// Handles one event at simulation time `now`.
     fn handle(&mut self, now: SimTime, ev: Self::Event, sched: &mut Scheduler<Self::Event>);
-
-    /// Grouping key for kind-homogeneous dispatch: [`run_until`] splits
-    /// each same-timestamp batch into contiguous runs of equal kind and
-    /// hands each run to [`World::handle_run`] in one call. Must be a pure
-    /// function of the event (no world state), so grouping never changes
-    /// which handler sees which event. The default puts every event in one
-    /// kind, which makes grouped dispatch degenerate to the plain loop.
-    #[inline]
-    fn kind_of(&self, _ev: &Self::Event) -> u16 {
-        0
-    }
-
-    /// Handles a contiguous run of same-timestamp events that all share
-    /// `kind`. Worlds with a wide event alphabet override this to branch on
-    /// `kind` once per run instead of once per event. Implementations must
-    /// consume the whole iterator **in order** and treat each event exactly
-    /// as [`World::handle`] would — unconsumed events are silently dropped
-    /// when the `Drain` drops. The default is the per-event reference loop.
-    fn handle_run(
-        &mut self,
-        now: SimTime,
-        kind: u16,
-        run: std::vec::Drain<'_, Self::Event>,
-        sched: &mut Scheduler<Self::Event>,
-    ) {
-        let _ = kind;
-        for ev in run {
-            self.handle(now, ev, sched);
-        }
-    }
 }
 
 /// Process-wide count of events executed by [`run_until`] (all schedulers,
@@ -86,21 +56,6 @@ pub fn process_executed_events() -> u64 {
 /// Workers snapshot this around their run loop to report per-thread skew.
 pub fn thread_executed_events() -> u64 {
     THREAD_EXECUTED.with(|c| c.get())
-}
-
-/// Batch-size distribution (events per drained timestamp), published to
-/// the telemetry registry. The handle is cached in a `OnceLock` so the
-/// per-batch cost is one load; the one-time registration happens outside
-/// any measured zero-allocation window (during warm-up).
-fn batch_events_hist() -> &'static ffs_telemetry::Log2Histogram {
-    static HIST: std::sync::OnceLock<&'static ffs_telemetry::Log2Histogram> =
-        std::sync::OnceLock::new();
-    HIST.get_or_init(|| {
-        ffs_telemetry::histogram(
-            "ffs_sim_batch_events",
-            "Events drained per timestamp batch by run_until",
-        )
-    })
 }
 
 #[inline]
@@ -223,11 +178,6 @@ pub struct Scheduler<E> {
     /// push + pop per preloaded event. Invariant: every stream entry lies
     /// strictly beyond the current epoch.
     stream: VecDeque<(u64, E)>,
-    /// Recycled buffer [`run_until`] bulk-drains each batch into before
-    /// dispatching it ([`Scheduler::drain_front_into`]). Owned here so its
-    /// grown capacity survives across batches and pooled-scheduler reuse
-    /// (the zero-allocation hot path); always empty between calls.
-    batch_scratch: Vec<E>,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -264,7 +214,6 @@ impl<E> Scheduler<E> {
             l1_bits: Bitmap::new(),
             far: BinaryHeap::with_capacity(cap),
             stream: VecDeque::new(),
-            batch_scratch: Vec::with_capacity(SLOT_PREALLOC),
         }
     }
 
@@ -285,7 +234,6 @@ impl<E> Scheduler<E> {
         }
         self.far.clear();
         self.stream.clear();
-        self.batch_scratch.clear();
         self.now = SimTime::ZERO;
         self.seq = 0;
         self.executed = 0;
@@ -301,7 +249,7 @@ impl<E> Scheduler<E> {
     pub fn retained_capacity(&self) -> usize {
         let l0: usize = self.l0.iter().map(|q| q.capacity()).sum();
         let l1: usize = self.l1.iter().map(|b| b.capacity()).sum();
-        l0 + l1 + self.far.capacity() + self.stream.capacity() + self.batch_scratch.capacity()
+        l0 + l1 + self.far.capacity() + self.stream.capacity()
     }
 
     /// Bulk-loads a time-sorted batch of events (e.g. a trace's arrivals)
@@ -471,28 +419,6 @@ impl<E> Scheduler<E> {
         Some(((self.l0_window << LEVEL_BITS) | s as u64, ev))
     }
 
-    /// Advances to the earliest pending timestamp and moves its entire L0
-    /// slot into `into` in FIFO (= seq) order, returning the timestamp and
-    /// event count. One cursor walk and one bulk `VecDeque` drain replace
-    /// the batch's n repeated [`Scheduler::pop_next`] calls (each of which
-    /// re-found the first set bit), which is what makes batch extraction
-    /// O(n) with a single bitmap touch.
-    ///
-    /// Equivalent to popping the slot's current events one at a time: the
-    /// slot holds exactly one timestamp, handlers can only push at
-    /// `t >= now`, so events pushed at this timestamp *during* dispatch
-    /// land in the (now empty) slot with larger seqs and form the next
-    /// batch — exactly single-step `(time, insertion-seq)` order.
-    fn drain_front_into(&mut self, into: &mut Vec<E>) -> Option<(u64, usize)> {
-        let s = self.advance_to_l0()?;
-        let q = &mut self.l0[s];
-        let n = q.len();
-        into.extend(q.drain(..));
-        self.l0_bits.clear(s);
-        self.pending -= n;
-        Some(((self.l0_window << LEVEL_BITS) | s as u64, n))
-    }
-
     /// Advances cursors (cascading L1 buckets / the far containers) until
     /// the earliest pending event sits in L0; returns its slot index, or
     /// `None` if nothing is pending. Cascades happen only here — between an
@@ -561,32 +487,13 @@ pub enum StopReason {
 }
 
 /// Runs the world until the queue empties or the clock reaches `until`,
-/// draining the wheel a *batch* (one L0 slot = one timestamp) at a time.
+/// handling one event at a time in `(time, insertion-seq)` order.
 ///
 /// Events scheduled exactly at `until` are *not* executed, so consecutive
 /// calls with increasing deadlines partition time unambiguously. Deadlines
 /// across calls on one scheduler must be non-decreasing: the wheel's
 /// window/epoch cursors only move forward, so rewinding the clock would
 /// let later pushes land behind them.
-///
-/// Batch drain is bit-exact with the single-step loop
-/// ([`run_until_stepwise`], kept as the executable reference):
-/// an L0 slot holds exactly one timestamp in FIFO (= seq) order; handlers
-/// can only schedule at `t >= now` (past times clamp to `now`), so events
-/// pushed mid-batch at the batch's own timestamp land in the emptied slot
-/// with larger seqs and are taken as the *next* batch before the frontier
-/// moves — `(time, insertion-seq)` order is preserved exactly. The win is
-/// amortisation: one deadline probe, one clock update, one obs flush, and
-/// one bulk slot drain per timestamp instead of per event.
-///
-/// Within a batch, events are dispatched as contiguous *kind-homogeneous
-/// runs*: consecutive events with equal [`World::kind_of`] go to one
-/// [`World::handle_run`] call, letting the world branch on the event kind
-/// (and open its per-dispatch telemetry) once per run instead of once per
-/// event. Runs never reorder events — they are contiguous sub-slices of
-/// the batch, dispatched and consumed in batch order — so grouping is
-/// invisible to execution semantics (pinned by the batch-equivalence
-/// property tests).
 pub fn run_until<W: World>(
     world: &mut W,
     sched: &mut Scheduler<W::Event>,
@@ -596,19 +503,12 @@ pub fn run_until<W: World>(
         until >= sched.now,
         "run_until deadlines must be non-decreasing"
     );
-    // Profile the wheel machinery (probe / cursor / batch extraction) as
-    // WheelDrain self-time; the per-run BatchDispatch child below
-    // subtracts handler time out of it. One guard per call, one per
-    // run — never per event.
+    // Profile the wheel machinery (probe / cursor / pop) as WheelDrain
+    // self-time; the per-event BatchDispatch child below subtracts handler
+    // time out of it.
     let _drain = ffs_telemetry::span(ffs_telemetry::Phase::WheelDrain);
-    let telemetry = ffs_telemetry::enabled();
     let executed_at_entry = sched.executed;
     let until_us = until.as_micros();
-    // The scratch is owned by the scheduler (capacity survives batches and
-    // pooled reuse) but moved out for the call so handlers' `&mut sched`
-    // cannot alias the buffer being drained.
-    let mut batch = std::mem::take(&mut sched.batch_scratch);
-    debug_assert!(batch.is_empty());
     let reason = loop {
         // Probe first: advancing cursors for (or popping and re-queueing) a
         // boundary event would reorder it behind same-timestamp peers (a
@@ -621,89 +521,19 @@ pub fn run_until<W: World>(
             }
             Some(_) => {}
         }
-        let (at_us, n) = sched
-            .drain_front_into(&mut batch)
-            .expect("probed non-empty");
-        let at = SimTime::from_micros(at_us);
-        sched.now = at;
-        sched.executed += n as u64;
-        // Observability hook, once per batch: publish the sim clock to the
-        // thread-local ambient time (so time-unaware crates can stamp
-        // events) and offer a queue-depth sample (of what remains beyond
-        // this batch). Pure observation — world state is untouched, so
-        // execution is byte-identical with tracing on or off.
-        if ffs_obs::enabled() {
-            ffs_obs::set_now_us(at_us);
-            ffs_obs::sample_queue_depth(at_us, sched.pending as u64);
-        }
-        if telemetry {
-            batch_events_hist().record(n as u64);
-        }
-        // The overwhelmingly common case on µs-grained traces is a batch
-        // of one (arrival times rarely collide). Dispatch it straight
-        // through `handle` — by the trait contract identical to a
-        // one-event run — skipping the kind scan and `Drain` machinery,
-        // which cost more than they amortise on a single event.
-        if n == 1 {
-            let ev = batch.pop().expect("counted batch event");
-            let _dispatch = ffs_telemetry::span(ffs_telemetry::Phase::BatchDispatch);
-            world.handle(at, ev, sched);
-            continue;
-        }
-        // Dispatch the batch front-to-back as kind-homogeneous runs.
-        // `drain(..len)` shifts the remainder to the front, so the run
-        // boundary scan always restarts at index 0; multi-kind batches are
-        // rare and small, so the shift cost is noise next to the saved
-        // per-event branching.
-        while !batch.is_empty() {
-            let kind = world.kind_of(&batch[0]);
-            let mut len = 1;
-            while len < batch.len() && world.kind_of(&batch[len]) == kind {
-                len += 1;
-            }
-            let _dispatch = ffs_telemetry::span(ffs_telemetry::Phase::BatchDispatch);
-            world.handle_run(at, kind, batch.drain(..len), sched);
-        }
-    };
-    // Hand the (empty) scratch back so its capacity is retained. A handler
-    // panic drops it instead, leaving the default empty Vec — consistent,
-    // just cold.
-    sched.batch_scratch = batch;
-    note_executed(sched.executed - executed_at_entry);
-    reason
-}
-
-/// The one-event-at-a-time reference loop [`run_until`] batched. Kept
-/// public so the batch-equivalence property test and the hotpath benches
-/// can compare against it; semantics (stop conditions, clock, counters)
-/// are identical, only the drain granularity differs.
-pub fn run_until_stepwise<W: World>(
-    world: &mut W,
-    sched: &mut Scheduler<W::Event>,
-    until: SimTime,
-) -> StopReason {
-    debug_assert!(
-        until >= sched.now,
-        "run_until deadlines must be non-decreasing"
-    );
-    let executed_at_entry = sched.executed;
-    let reason = loop {
-        match sched.next_time() {
-            None => break StopReason::QueueEmpty,
-            Some(t) if t >= until.as_micros() => {
-                sched.now = until;
-                break StopReason::DeadlineReached;
-            }
-            Some(_) => {}
-        }
         let (at_us, ev) = sched.pop_next().expect("probed non-empty");
         let at = SimTime::from_micros(at_us);
         sched.now = at;
         sched.executed += 1;
+        // Observability hook: publish the sim clock to the thread-local
+        // ambient time (so time-unaware crates can stamp events) and offer
+        // a queue-depth sample. Pure observation — world state is
+        // untouched, so execution is byte-identical with tracing on or off.
         if ffs_obs::enabled() {
             ffs_obs::set_now_us(at_us);
             ffs_obs::sample_queue_depth(at_us, sched.pending as u64);
         }
+        let _dispatch = ffs_telemetry::span(ffs_telemetry::Phase::BatchDispatch);
         world.handle(at, ev, sched);
     };
     note_executed(sched.executed - executed_at_entry);
@@ -922,30 +752,6 @@ mod tests {
     fn preload_rejects_unsorted_input() {
         let mut s: Scheduler<u32> = Scheduler::new();
         s.preload_sorted(vec![(SimTime::from_secs(2), 0), (SimTime::from_secs(1), 1)]);
-    }
-
-    #[test]
-    fn batch_and_stepwise_drains_agree() {
-        // The Recorder chains events (same-instant pushes mid-batch and a
-        // far-future push), exercising the refreshed-slot re-take path.
-        let seed_times = [2u64, 1, 2, 1_000_000, 1_000_000];
-        let drive = |batched: bool| {
-            let mut w = Recorder { log: vec![] };
-            let mut s = Scheduler::new();
-            for (i, &us) in seed_times.iter().enumerate() {
-                s.at(
-                    SimTime::from_micros(us),
-                    if i == 1 { 1 } else { i as u32 + 20 },
-                );
-            }
-            let r = if batched {
-                run_until(&mut w, &mut s, SimTime::MAX)
-            } else {
-                run_until_stepwise(&mut w, &mut s, SimTime::MAX)
-            };
-            (w.log, r, s.executed(), s.pending(), s.now())
-        };
-        assert_eq!(drive(true), drive(false));
     }
 
     #[test]

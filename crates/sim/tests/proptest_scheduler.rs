@@ -5,10 +5,12 @@
 //! `BinaryHeap` ordered by `(time, insertion-seq)`. Both schedulers run
 //! the same randomly generated program — a mix of absolute pushes (with
 //! clustered timestamps to force same-instant ties, window-edge and
-//! epoch-crossing gaps), handler-driven chains of `immediately` and
-//! `after`, and multi-deadline `run_until` sequences including deadlines
-//! that land exactly on event timestamps — and must produce identical
-//! `(time, event)` logs, clocks, and pending counts.
+//! epoch-crossing gaps), handler-driven chains of `immediately`, `after`
+//! and absolute pushes into the past (which clamp to `now` and join the
+//! in-flight timestamp), and multi-deadline `run_until` sequences
+//! including deadlines that land exactly on event timestamps — and must
+//! produce identical `(time, event)` logs, clocks, pending counts and
+//! clamp counts.
 
 use proptest::prelude::*;
 
@@ -49,11 +51,16 @@ impl Ord for RefScheduled {
 struct RefScheduler {
     now: u64,
     seq: u64,
+    /// Pushes into the past that were clamped to `now`.
+    clamps: u64,
     heap: std::collections::BinaryHeap<RefScheduled>,
 }
 
 impl RefScheduler {
     fn at(&mut self, at: u64, ev: u32) {
+        if at < self.now {
+            self.clamps += 1;
+        }
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
@@ -91,9 +98,10 @@ impl RefScheduler {
 // ---------------------------------------------------------------------
 
 /// The handler chain: some events schedule follow-ups, exercising
-/// same-instant `immediately` chains and relative `after` pushes whose
-/// deltas cross window and epoch boundaries.
-fn chain_spec(ev: u32) -> Option<(u64, u32)> {
+/// same-instant `immediately` chains, relative `after` pushes whose
+/// deltas cross window and epoch boundaries, and absolute pushes into the
+/// past (negative deltas).
+fn chain_spec(ev: u32) -> Option<(i64, u32)> {
     match ev % 7 {
         // Same-instant chain (delta 0): the follow-up must run after every
         // event already queued at this timestamp.
@@ -104,6 +112,10 @@ fn chain_spec(ev: u32) -> Option<(u64, u32)> {
         2 => Some((4096, ev + 3000)),
         // Beyond the current epoch (> 2^24 µs).
         3 => Some((1 << 25, ev + 4000)),
+        // Into the past, by 1 µs up to 2^25 µs (back across window and
+        // epoch edges): clamps to `now`, so the follow-up joins the
+        // in-flight timestamp behind every event already queued there.
+        4 => Some((-(1 << (ev % 26)), ev + 5000)),
         _ => None,
     }
 }
@@ -211,10 +223,13 @@ impl World for WheelWorld {
         // finite while still exercising handler-driven scheduling.
         if ev < 1000 {
             if let Some((delta, next)) = chain_spec(ev) {
-                if delta == 0 {
-                    sched.immediately(next);
-                } else {
-                    sched.after(SimDuration::from_micros(delta), next);
+                match u64::try_from(delta) {
+                    Ok(0) => sched.immediately(next),
+                    Ok(d) => sched.after(SimDuration::from_micros(d), next),
+                    Err(_) => sched.at(
+                        SimTime::from_micros(now.as_micros().saturating_add_signed(delta)),
+                        next,
+                    ),
                 }
             }
         }
@@ -224,7 +239,7 @@ impl World for WheelWorld {
 fn ref_chain(r: &mut RefScheduler, now: u64, ev: u32) {
     if ev < 1000 {
         if let Some((delta, next)) = chain_spec(ev) {
-            r.at(now + delta, next);
+            r.at(now.saturating_add_signed(delta), next);
         }
     }
 }
@@ -262,6 +277,7 @@ proptest! {
         prop_assert_eq!(wheel_stop, ref_stop);
         prop_assert_eq!(&wheel_world.log, &ref_log);
         prop_assert_eq!(wheel.pending(), 0);
+        prop_assert_eq!(wheel.clamps(), reference.clamps);
     }
 
     /// Multi-deadline runs agree too, including deadlines that land exactly
@@ -296,6 +312,7 @@ proptest! {
             prop_assert_eq!(&wheel_world.log, &ref_log);
             prop_assert_eq!(wheel.now().as_micros(), reference.now);
             prop_assert_eq!(wheel.pending(), reference.heap.len());
+            prop_assert_eq!(wheel.clamps(), reference.clamps);
             // Interleave a push between segments; past times clamp to now
             // on both sides.
             let t = extra[k % extra.len()];
@@ -308,6 +325,7 @@ proptest! {
         prop_assert_eq!(ws, rs);
         prop_assert_eq!(&wheel_world.log, &ref_log);
         prop_assert_eq!(wheel.pending(), 0);
+        prop_assert_eq!(wheel.clamps(), reference.clamps);
     }
 
     /// The sorted bulk-load path is indistinguishable from individual

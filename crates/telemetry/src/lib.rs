@@ -48,35 +48,53 @@ pub use registry::{
     counter, default_registry, gauge, histogram, Counter, Gauge, Log2Histogram, Registry,
 };
 
+/// The profiling on/off flag.
+static STATE: Switch = Switch::new();
+
 /// Tri-state switch: 0 = unresolved (consult the environment), 1 = on,
 /// 2 = off. Resolved lazily so the first guard pays the env lookup, not
 /// crate load.
-static STATE: AtomicU8 = AtomicU8::new(0);
+struct Switch(AtomicU8);
+
+impl Switch {
+    const fn new() -> Self {
+        Switch(AtomicU8::new(0))
+    }
+
+    #[inline]
+    fn get(&self) -> bool {
+        match self.0.load(Ordering::Relaxed) {
+            1 => true,
+            2 => false,
+            _ => self.resolve(),
+        }
+    }
+
+    #[cold]
+    fn resolve(&self) -> bool {
+        let off = std::env::var("FFS_TELEMETRY")
+            .map(|v| matches!(v.trim(), "0" | "off" | "false"))
+            .unwrap_or(false);
+        self.set(!off);
+        !off
+    }
+
+    fn set(&self, on: bool) {
+        self.0.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    }
+}
 
 /// Whether phase profiling is active. Defaults to on; `FFS_TELEMETRY=0`
 /// (or `off` / `false`) disables it. One relaxed load on the hot path.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => resolve_enabled(),
-    }
-}
-
-#[cold]
-fn resolve_enabled() -> bool {
-    let off = std::env::var("FFS_TELEMETRY")
-        .map(|v| matches!(v.trim(), "0" | "off" | "false"))
-        .unwrap_or(false);
-    STATE.store(if off { 2 } else { 1 }, Ordering::Relaxed);
-    !off
+    STATE.get()
 }
 
 /// Force profiling on or off, overriding the environment (tests and
 /// binaries that want an explicit baseline).
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    STATE.set(on);
 }
 
 #[cfg(test)]
@@ -85,11 +103,14 @@ mod tests {
 
     #[test]
     fn enabled_toggle_round_trips() {
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
+        // A private switch: flipping the process-wide one would turn off
+        // spans that sibling tests are timing in parallel.
+        let s = Switch::new();
+        s.set(true);
+        assert!(s.get());
+        s.set(false);
+        assert!(!s.get());
+        s.set(true);
+        assert!(s.get());
     }
 }

@@ -49,11 +49,11 @@ pub enum Phase {
     TraceSynth = 0,
     /// Building engine state: catalog, fleet, slab, scheduler preload.
     EngineSetup = 1,
-    /// The batch event loop's wheel machinery: deadline probes, cursor
-    /// advances, batch extraction (`run_until` minus its children).
+    /// The event loop's wheel machinery: deadline probes, cursor
+    /// advances, pops (`run_until` minus its children).
     WheelDrain = 2,
-    /// Draining one timestamp batch through `World::handle` (event
-    /// handler bodies outside the more specific phases below).
+    /// One event through `World::handle` (event handler bodies outside
+    /// the more specific phases below).
     BatchDispatch = 3,
     /// Router dispatch: scanning instances/pool for a home for a request.
     RoutingScan = 4,
@@ -303,7 +303,14 @@ pub struct PhaseGuard {
 /// a single relaxed atomic load and the guard is inert.
 #[inline]
 pub fn span(phase: Phase) -> PhaseGuard {
-    if !crate::enabled() {
+    span_when(crate::enabled(), phase)
+}
+
+/// [`span`] with the on/off switch passed in, so tests can open an inert
+/// guard without flipping the process-wide flag under sibling tests.
+#[inline(always)]
+fn span_when(on: bool, phase: Phase) -> PhaseGuard {
+    if !on {
         return PhaseGuard {
             start: 0,
             phase,
@@ -378,6 +385,50 @@ struct Merged {
     dropped_path_cycles: u64,
 }
 
+impl Merged {
+    /// Folds a thread's accumulators in and resets them. Open spans are
+    /// untouched (their self-time lands in a later fold).
+    fn absorb(&mut self, p: &mut ThreadProf) {
+        for i in 0..PHASE_COUNT {
+            self.cycles[i] += p.cycles[i];
+            self.calls[i] += p.calls[i];
+        }
+        for i in 0..PATH_SLOTS {
+            if p.table.keys[i] != 0 {
+                let e = self.paths.entry(p.table.keys[i]).or_insert((0, 0));
+                e.0 += p.table.cycles[i];
+                e.1 += p.table.calls[i];
+            }
+        }
+        self.depth_overflows += p.depth_overflows;
+        self.dropped_path_cycles += p.table.dropped_cycles;
+        p.cycles = [0; PHASE_COUNT];
+        p.calls = [0; PHASE_COUNT];
+        p.depth_overflows = 0;
+        p.table.clear();
+    }
+
+    fn snapshot(&self) -> PhaseSnapshot {
+        let mut paths: Vec<PathStat> = self
+            .paths
+            .iter()
+            .map(|(&key, &(cycles, calls))| PathStat {
+                path: decode_path(key),
+                cycles,
+                calls,
+            })
+            .collect();
+        paths.sort_by(|a, b| b.cycles.cmp(&a.cycles).then_with(|| a.path.cmp(&b.path)));
+        PhaseSnapshot {
+            cycles: self.cycles,
+            calls: self.calls,
+            paths,
+            depth_overflows: self.depth_overflows,
+            dropped_path_cycles: self.dropped_path_cycles,
+        }
+    }
+}
+
 static MERGED: Mutex<Option<Merged>> = Mutex::new(None);
 
 fn with_merged<R>(f: impl FnOnce(&mut Merged) -> R) -> R {
@@ -394,25 +445,7 @@ pub fn flush_thread() {
         if p.calls.iter().all(|&c| c == 0) && p.depth_overflows == 0 {
             return;
         }
-        with_merged(|m| {
-            for i in 0..PHASE_COUNT {
-                m.cycles[i] += p.cycles[i];
-                m.calls[i] += p.calls[i];
-            }
-            for i in 0..PATH_SLOTS {
-                if p.table.keys[i] != 0 {
-                    let e = m.paths.entry(p.table.keys[i]).or_insert((0, 0));
-                    e.0 += p.table.cycles[i];
-                    e.1 += p.table.calls[i];
-                }
-            }
-            m.depth_overflows += p.depth_overflows;
-            m.dropped_path_cycles += p.table.dropped_cycles;
-        });
-        p.cycles = [0; PHASE_COUNT];
-        p.calls = [0; PHASE_COUNT];
-        p.depth_overflows = 0;
-        p.table.clear();
+        with_merged(|m| m.absorb(p));
     });
 }
 
@@ -433,25 +466,7 @@ fn decode_path(mut key: u64) -> Vec<Phase> {
 /// The process-wide profile merged so far. Callers flush their own thread
 /// first ([`flush_thread`]) if they want their latest spans included.
 pub fn snapshot() -> PhaseSnapshot {
-    with_merged(|m| {
-        let mut paths: Vec<PathStat> = m
-            .paths
-            .iter()
-            .map(|(&key, &(cycles, calls))| PathStat {
-                path: decode_path(key),
-                cycles,
-                calls,
-            })
-            .collect();
-        paths.sort_by(|a, b| b.cycles.cmp(&a.cycles).then_with(|| a.path.cmp(&b.path)));
-        PhaseSnapshot {
-            cycles: m.cycles,
-            calls: m.calls,
-            paths,
-            depth_overflows: m.depth_overflows,
-            dropped_path_cycles: m.dropped_path_cycles,
-        }
-    })
+    with_merged(|m| m.snapshot())
 }
 
 /// Clears the process-wide profile *and* the calling thread's local
@@ -470,6 +485,11 @@ pub fn reset_for_tests() {
 mod tests {
     use super::*;
 
+    // Every test asserts on its own thread's accumulators, folded into a
+    // test-local `Merged`: the process-wide profile is shared with
+    // sibling tests running in parallel, and so is the on/off flag, which
+    // these tests only ever set to on.
+
     /// Spin until at least `n` cycles elapsed (real work for the timer).
     fn burn(n: u64) {
         let t0 = clock::now_cycles();
@@ -478,10 +498,17 @@ mod tests {
         }
     }
 
+    /// Drains the calling thread's accumulators into a fresh profile.
+    fn take_local() -> Merged {
+        let mut m = Merged::default();
+        with_prof(|p| m.absorb(p));
+        m
+    }
+
     #[test]
     fn nested_spans_charge_self_time_only() {
         crate::set_enabled(true);
-        reset_for_tests();
+        take_local();
         {
             let _root = span(Phase::RunOther);
             burn(20_000);
@@ -491,8 +518,7 @@ mod tests {
             }
             burn(20_000);
         }
-        flush_thread();
-        let s = snapshot();
+        let s = take_local().snapshot();
         let root = s.cycles[Phase::RunOther as usize];
         let inner = s.cycles[Phase::RoutingScan as usize];
         assert_eq!(s.calls[Phase::RunOther as usize], 1);
@@ -509,14 +535,13 @@ mod tests {
     #[test]
     fn paths_decode_root_first() {
         crate::set_enabled(true);
-        reset_for_tests();
+        take_local();
         {
             let _a = span(Phase::WheelDrain);
             let _b = span(Phase::BatchDispatch);
             let _c = span(Phase::RoutingScan);
         }
-        flush_thread();
-        let s = snapshot();
+        let s = take_local().snapshot();
         let deep = s
             .paths
             .iter()
@@ -531,48 +556,47 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
-        crate::set_enabled(false);
-        flush_thread(); // drain anything earlier tests on this thread left
-        let before = snapshot().total_cycles();
+        take_local();
         {
-            let _g = span(Phase::PolicyCall);
+            let _g = span_when(false, Phase::PolicyCall);
         }
-        flush_thread();
-        let after = snapshot().total_cycles();
-        crate::set_enabled(true);
-        assert_eq!(before, after);
+        let s = take_local().snapshot();
+        assert_eq!(s.total_cycles(), 0);
+        assert_eq!(s.calls, [0; PHASE_COUNT]);
+        assert!(s.paths.is_empty());
     }
 
     #[test]
     fn flush_is_idempotent_and_additive() {
         crate::set_enabled(true);
-        reset_for_tests();
+        take_local();
+        let mut m = Merged::default();
         {
             let _g = span(Phase::ObsFold);
         }
-        flush_thread();
-        let once = snapshot().calls[Phase::ObsFold as usize];
-        flush_thread(); // nothing new: second flush must not double count
-        assert_eq!(snapshot().calls[Phase::ObsFold as usize], once);
+        with_prof(|p| m.absorb(p));
+        let once = m.calls[Phase::ObsFold as usize];
+        assert_eq!(once, 1);
+        with_prof(|p| m.absorb(p)); // nothing new: must not double count
+        assert_eq!(m.calls[Phase::ObsFold as usize], once);
         {
             let _g = span(Phase::ObsFold);
         }
-        flush_thread();
-        assert_eq!(snapshot().calls[Phase::ObsFold as usize], once + 1);
+        with_prof(|p| m.absorb(p));
+        assert_eq!(m.calls[Phase::ObsFold as usize], once + 1);
     }
 
     #[test]
     fn depth_overflow_is_counted_not_lost() {
         crate::set_enabled(true);
-        reset_for_tests();
+        take_local();
         let mut guards: Vec<PhaseGuard> = (0..MAX_DEPTH + 2)
             .map(|_| span(Phase::BatchDispatch))
             .collect();
         while let Some(g) = guards.pop() {
             drop(g); // innermost first: guards require LIFO drop order
         }
-        flush_thread();
-        let s = snapshot();
+        let s = take_local().snapshot();
         assert_eq!(s.depth_overflows, 2);
         assert_eq!(s.calls[Phase::BatchDispatch as usize], MAX_DEPTH as u64);
     }
