@@ -1,12 +1,10 @@
-//! Microbenchmarks of the simulation hot path: the timer-wheel scheduler
-//! against the binary heap it replaced, SoA column scans against record
-//! scans, the incremental routing index against the full admission scan,
-//! the incremental plan-cache signature against recomputing it from the
-//! free-slice list, and an end-to-end run that exercises every hot-path
-//! change at once.
+//! Microbenchmarks of the simulation hot path: scheduler push/pop churn,
+//! SoA column scans against record scans, the incremental routing index
+//! against the full admission scan, the incremental plan-cache signature
+//! against recomputing it from the free-slice list, and an end-to-end run
+//! that exercises every hot-path change at once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::collections::BinaryHeap;
 use std::hint::black_box;
 
 use ffs_mig::{Fleet, GpuId, NodeId, SliceId, SliceProfile};
@@ -23,7 +21,7 @@ use fluidfaas::platform::slab::InstanceSlab;
 use fluidfaas::{FfsConfig, FluidFaaSSystem};
 
 // ---------------------------------------------------------------------
-// Wheel vs heap push/pop
+// Scheduler push/pop
 // ---------------------------------------------------------------------
 
 /// A deterministic xorshift stream.
@@ -36,8 +34,8 @@ fn xorshift(x: &mut u64) -> u64 {
 
 /// The real event mix: a standing population of pending events, each pop
 /// scheduling a short-horizon follow-up (stage completions, handoffs,
-/// ticks are all `now + a-few-ms`). The heap pays `O(log pending)` per
-/// op here; the wheel pays `O(1)`.
+/// ticks are all `now + a-few-ms`). Each push and pop pays
+/// `O(log pending)`.
 const PENDING: usize = 1_000;
 const CHURN_OPS: usize = 50_000;
 const SEED: u64 = 0x2545_f491_4f6c_dd1d;
@@ -63,37 +61,13 @@ impl World for Churn {
     }
 }
 
-/// The pre-wheel scheduler: a `(time, seq)`-ordered binary heap.
-#[derive(PartialEq, Eq)]
-struct HeapEntry {
-    at: u64,
-    seq: u64,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 fn bench_scheduler_push_pop(c: &mut Criterion) {
-    // Both sides seed the same standing population and consume the same
-    // delta stream, so they do identical logical work.
     let seeds: Vec<u64> = {
         let mut x = SEED;
         (0..PENDING).map(|_| xorshift(&mut x) % 1_000_000).collect()
     };
     let mut g = c.benchmark_group("scheduler_steady_churn_1k_pending");
-    g.bench_function("timer_wheel", |b| {
+    g.bench_function("scheduler", |b| {
         b.iter(|| {
             let mut w = Churn {
                 remaining: CHURN_OPS,
@@ -105,31 +79,6 @@ fn bench_scheduler_push_pop(c: &mut Criterion) {
             }
             run_until(&mut w, &mut s, SimTime::MAX);
             black_box(s.now())
-        })
-    });
-    g.bench_function("binary_heap", |b| {
-        b.iter(|| {
-            let mut heap = BinaryHeap::with_capacity(PENDING + 1);
-            let mut seq = 0u64;
-            for &t in &seeds {
-                heap.push(HeapEntry { at: t, seq });
-                seq += 1;
-            }
-            let mut rng = SEED;
-            let mut remaining = CHURN_OPS;
-            let mut last = 0;
-            while let Some(e) = heap.pop() {
-                last = e.at;
-                if remaining > 0 {
-                    remaining -= 1;
-                    heap.push(HeapEntry {
-                        at: e.at + delta(&mut rng),
-                        seq,
-                    });
-                    seq += 1;
-                }
-            }
-            black_box(last)
         })
     });
     g.finish();

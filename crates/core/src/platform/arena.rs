@@ -5,8 +5,8 @@
 //! A simulation run allocates three container families whose capacity is
 //! expensive to build and trivial to recycle:
 //!
-//! * the event scheduler (8192 pre-allocated wheel slots plus the far
-//!   heap / preload stream),
+//! * the event scheduler (its event heap and preload stream, sized to the
+//!   run's peak pending load),
 //! * the request table (one record per trace invocation),
 //! * the instance slab (spine plus seven SoA hot columns).
 //!
@@ -20,7 +20,7 @@
 //!
 //! Reuse is bit-neutral by construction: a reset scheduler is
 //! indistinguishable from a fresh one (`Scheduler::reset` restores
-//! seq/cursor/clock state exactly; see its unit test), a cleared `Vec`
+//! seq/clock state exactly; see its unit test), a cleared `Vec`
 //! refilled from the trace holds identical records, and a cleared slab is
 //! empty. The experiments crate pins this down with a byte-identical
 //! `run_matrix` comparison across 1/2/4 workers (different worker counts

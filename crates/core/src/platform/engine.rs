@@ -299,12 +299,6 @@ impl EngineCore {
         self.pipeline_count
     }
 
-    /// Precomputed monolithic (exec, handoff) split for `f` on `slice`.
-    #[inline]
-    pub fn mono_split_of(&self, f: FuncId, slice: SliceProfile) -> (f64, f64) {
-        self.mono_split_ms[f][profile_index(slice)]
-    }
-
     /// Precomputed monolithic execution estimate for `f` on `slice`.
     #[inline]
     pub fn shared_exec_of(&self, f: FuncId, slice: SliceProfile) -> f64 {

@@ -94,10 +94,10 @@ impl RunOutput {
 /// scale tick, runs to completion (trace end + drain), finalises metrics.
 pub fn run_platform<P: Platform>(platform: &mut P, trace: &Trace) -> RunOutput {
     // All arrivals go in up front via the sorted bulk path (traces are
-    // sorted by arrival), which keeps them out of the scheduler's overflow
-    // heap; only dynamically scheduled far-future events pay heap ops.
-    // The scheduler itself comes from the thread's run arena: 8192 wheel
-    // slots are expensive to construct per run and trivial to reset.
+    // sorted by arrival), which keeps them out of the scheduler's heap;
+    // only dynamically scheduled events pay heap ops. The scheduler itself
+    // comes from the thread's run arena, which keeps its heap and stream
+    // capacity from earlier runs on this thread.
     let setup = ffs_telemetry::span(ffs_telemetry::Phase::EngineSetup);
     let mut sched: Scheduler<Event> = super::arena::take_scheduler(trace.invocations.len());
     sched.preload_sorted(

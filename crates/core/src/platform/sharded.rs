@@ -1,10 +1,10 @@
 //! The sharded fleet engine: lock-stepped multi-cell simulation.
 //!
 //! One [`EngineCore`](super::engine::EngineCore) owning the whole fleet is
-//! the scale wall for thousand-GPU runs: the timer wheel, instance slab,
+//! the scale wall for thousand-GPU runs: the event scheduler, instance slab,
 //! and per-function tables all grow with fleet size, and a single event
 //! loop leaves every other core idle. This module partitions the fleet
-//! into `cells` — each a full engine with its own wheel, slab, arena
+//! into `cells` — each a full engine with its own scheduler, slab, arena
 //! containers, and metrics hub over a contiguous slice of the fleet — and
 //! advances all of them in lock-stepped time *epochs*, exchanging
 //! cross-cell traffic only at epoch boundaries through the deterministic

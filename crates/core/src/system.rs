@@ -639,11 +639,6 @@ impl FluidFaaSSystem {
         self.engine.core.pipeline_instance_count()
     }
 
-    /// The shared (time-sharing) pool size.
-    pub fn shared_slot_count(&self) -> usize {
-        self.engine.core.pool.len()
-    }
-
     /// Keep-alive state of a function's time-sharing lineage.
     pub fn keepalive_of(&self, f: FuncId) -> KeepAliveState {
         self.engine.core.ka[f]
@@ -662,43 +657,6 @@ impl FluidFaaSSystem {
     /// The scheduler's decision counters for this run.
     pub fn scheduler_log(&self) -> SchedulerLog {
         self.engine.core.sched_log
-    }
-
-    /// Launch-plan cache counters `(hits, misses)` for this run.
-    pub fn plan_cache_stats(&self) -> (u64, u64) {
-        (
-            self.engine.core.plan_cache.hits(),
-            self.engine.core.plan_cache.misses(),
-        )
-    }
-
-    /// Introspection: one row per live exclusive instance —
-    /// `(id, function, ready, stages, last_used)`.
-    pub fn instance_summaries(&self) -> Vec<(u64, FuncId, bool, usize, SimTime)> {
-        self.engine
-            .core
-            .instances
-            .values()
-            .map(|i| {
-                (
-                    i.id.0,
-                    i.func,
-                    i.is_ready(),
-                    i.plan.num_stages(),
-                    i.last_used,
-                )
-            })
-            .collect()
-    }
-
-    /// Introspection: the current demand estimate (req/s) per function.
-    pub fn demand_estimates(&self) -> Vec<f64> {
-        self.engine.core.demand_rps.clone()
-    }
-
-    /// Introspection: current backlog length per function.
-    pub fn pending_lens(&self) -> Vec<usize> {
-        self.engine.core.pending.iter().map(|q| q.len()).collect()
     }
 
     /// How completed requests were served:

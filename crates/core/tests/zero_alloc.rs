@@ -2,12 +2,13 @@
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! phase that launches instances, grows every ring to its working size and
-//! primes the scheduler's wheel slots, a measured window of pure event
-//! traffic (arrivals, stage completions, request completions — no scale
-//! tick, which is cadence work, not per-event work) must allocate nothing:
-//! requests are prebuilt, the request log and utilization bins are
-//! pre-sized, wheel slots and per-function rings recycle their capacity,
-//! and plan/timing lookups hit precomputed tables.
+//! grows the scheduler's heap to its peak load, a measured window of pure
+//! event traffic (arrivals, stage completions, request completions — no
+//! scale tick, which is cadence work, not per-event work) must allocate
+//! nothing: requests are prebuilt, the request log and utilization bins
+//! are pre-sized, the scheduler heap and per-function rings recycle their
+//! capacity, and plan/timing lookups hit precomputed tables. Constructing
+//! an empty scheduler allocates nothing either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -79,6 +80,12 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 #[test]
+fn scheduler_construction_does_not_allocate() {
+    let (allocs, _) = allocations_in(Scheduler::<Event>::new);
+    assert_eq!(allocs, 0, "an empty scheduler must not allocate");
+}
+
+#[test]
 fn steady_state_events_do_not_allocate() {
     // A steady single-app load the small fleet can absorb: after the
     // autoscaler's first ticks the exclusive instances serve every arrival
@@ -96,7 +103,7 @@ fn steady_state_events_do_not_allocate() {
     );
     sched.at(SimTime::ZERO, Event::ScaleTick);
 
-    // Warm-up: launches, ring growth, wheel priming, first completions.
+    // Warm-up: launches, ring and heap growth, first completions.
     run_until(&mut sys, &mut sched, SimTime::from_micros(5_200_000));
 
     // Measured window between two scale ticks (ticks land on whole

@@ -126,24 +126,6 @@ impl LogHistogram {
         below as f64 / self.total as f64
     }
 
-    /// Projects this histogram onto a telemetry [`Log2Histogram`](ffs_telemetry::Log2Histogram) so
-    /// evaluation-grade latency distributions can be exported through the
-    /// `ffs-telemetry` registry's Prometheus exposition. Each 5% bucket
-    /// contributes its count at the bucket's upper edge scaled by `scale`
-    /// (e.g. `1e6` maps milliseconds onto integer nanoseconds) — the same
-    /// conservative rounding [`percentile`](Self::percentile) uses, so the
-    /// projection is exact in count and within one source-bucket width
-    /// (~5%) plus one power-of-two bucket in value.
-    pub fn to_log2(&self, scale: f64) -> ffs_telemetry::Log2Histogram {
-        assert!(scale > 0.0 && scale.is_finite());
-        let out = ffs_telemetry::Log2Histogram::new();
-        for (i, &n) in self.counts.iter().enumerate() {
-            let rep = self.bucket_lower(i + 1) * scale;
-            out.record_n(rep.round() as u64, n);
-        }
-        out
-    }
-
     /// Merges another histogram with the same floor.
     pub fn merge(&mut self, other: &LogHistogram) {
         assert_eq!(self.floor, other.floor, "histogram floors must match");
@@ -199,29 +181,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.max(), 1000.0);
         assert!((a.mean() - 505.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn to_log2_preserves_count_and_approximates_values() {
-        let mut h = LogHistogram::for_latency_ms();
-        for v in [0.5, 10.0, 10.0, 250.0] {
-            h.record(v);
-        }
-        let log2 = h.to_log2(1e6); // ms -> ns
-        assert_eq!(log2.count(), 4);
-        // Mean survives the double bucketing to within the combined
-        // bucket widths (5% source bucket + one power-of-two bucket).
-        let mean_ns = h.mean() * 1e6;
-        assert!(
-            log2.mean() >= mean_ns && log2.mean() <= mean_ns * 2.2,
-            "bridged mean {} vs exact {}",
-            log2.mean(),
-            mean_ns
-        );
-        // Counts land in the buckets of the scaled upper edges.
-        let counts = log2.bucket_counts();
-        let b10ms = ffs_telemetry::Log2Histogram::bucket_of(10_000_000);
-        assert!(counts[b10ms] + counts[b10ms + 1] >= 2, "10ms pair present");
     }
 
     #[test]

@@ -23,7 +23,6 @@
 
 pub mod cdf;
 pub mod cost;
-pub mod csv;
 pub mod histogram;
 pub mod record;
 pub mod report;

@@ -26,12 +26,6 @@ impl TextTable {
         self
     }
 
-    /// Appends a row of displayable cells.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

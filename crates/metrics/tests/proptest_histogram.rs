@@ -7,7 +7,6 @@
 //! answer every query exactly like one fed the concatenated sample
 //! stream. Bucket-derived queries (count, max, percentiles, CDF) are
 //! exact; only the mean is floating-point and allowed rounding slack.
-//! The `to_log2` telemetry bridge must likewise commute with merging.
 
 use ffs_metrics::LogHistogram;
 use proptest::prelude::*;
@@ -58,33 +57,5 @@ proptest! {
             (merged.mean() - whole.mean()).abs() <= 1e-9 * (1.0 + whole.mean()),
             "merged mean {} vs whole {}", merged.mean(), whole.mean()
         );
-    }
-
-    /// The telemetry bridge commutes with merging exactly: bridging the
-    /// merged histogram equals merging the per-shard bridges (bucket
-    /// representatives depend only on bucket index, and the log2 side is
-    /// all integer arithmetic).
-    #[test]
-    fn to_log2_commutes_with_merge(
-        shards in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..2000.0, 0..32),
-            1..5,
-        ),
-    ) {
-        let (merged, _) = build(&shards);
-        let bridged = merged.to_log2(1e6);
-        let folded = ffs_telemetry::Log2Histogram::new();
-        for shard in &shards {
-            let mut h = LogHistogram::for_latency_ms();
-            for &v in shard {
-                h.record(v);
-            }
-            folded.merge(&h.to_log2(1e6));
-        }
-        prop_assert_eq!(bridged.count(), folded.count());
-        prop_assert_eq!(bridged.sum(), folded.sum());
-        let a = bridged.bucket_counts();
-        let b = folded.bucket_counts();
-        prop_assert!(a.iter().eq(b.iter()), "bucket counts diverge");
     }
 }

@@ -14,6 +14,9 @@
 //! * **Total event order.** Ties at the same timestamp are broken by a
 //!   monotonically increasing sequence number, so a simulation run is a pure
 //!   function of its inputs.
+//! * **One heap.** [`Scheduler`] keeps dynamically scheduled events in a
+//!   `(time, seq)`-ordered binary heap and a pre-sorted trace preload in a
+//!   FIFO stream beside it ([`engine`] explains the tie-break between them).
 //! * **Deterministic randomness.** [`rng::SimRng`] is a seeded, splittable
 //!   xoshiro256++ generator. Every stochastic component in the workspace
 //!   draws from an explicitly seeded stream.

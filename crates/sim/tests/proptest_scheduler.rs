@@ -1,11 +1,11 @@
-//! Property tests: the timer-wheel scheduler executes arbitrary event
-//! programs in exactly the order of a reference binary-heap scheduler.
+//! Property tests: the scheduler executes arbitrary event programs in
+//! exactly the order of a reference binary-heap scheduler.
 //!
-//! The reference implementation below is the pre-wheel scheduler: one
-//! `BinaryHeap` ordered by `(time, insertion-seq)`. Both schedulers run
+//! The reference implementation below is the plainest possible scheduler:
+//! one `BinaryHeap` ordered by `(time, insertion-seq)`. Both schedulers run
 //! the same randomly generated program — a mix of absolute pushes (with
-//! clustered timestamps to force same-instant ties, window-edge and
-//! epoch-crossing gaps), handler-driven chains of `immediately`, `after`
+//! clustered timestamps to force same-instant ties, and gaps from
+//! microseconds to minutes), handler-driven chains of `immediately`, `after`
 //! and absolute pushes into the past (which clamp to `now` and join the
 //! in-flight timestamp), and multi-deadline `run_until` sequences
 //! including deadlines that land exactly on event timestamps — and must
@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use ffs_sim::{run_until, Scheduler, SimDuration, SimTime, StopReason, World};
 
 // ---------------------------------------------------------------------
-// Reference scheduler: (time, seq)-ordered BinaryHeap, the exact
-// structure the timer wheel replaced.
+// Reference scheduler: one (time, seq)-ordered BinaryHeap, the executable
+// spec of event order.
 // ---------------------------------------------------------------------
 
 struct RefScheduled {
@@ -99,22 +99,22 @@ impl RefScheduler {
 
 /// The handler chain: some events schedule follow-ups, exercising
 /// same-instant `immediately` chains, relative `after` pushes whose
-/// deltas cross window and epoch boundaries, and absolute pushes into the
+/// deltas span microseconds to seconds, and absolute pushes into the
 /// past (negative deltas).
 fn chain_spec(ev: u32) -> Option<(i64, u32)> {
     match ev % 7 {
         // Same-instant chain (delta 0): the follow-up must run after every
         // event already queued at this timestamp.
         0 => Some((0, ev + 1000)),
-        // Short hop within the L0 window.
+        // Short hop (100 µs).
         1 => Some((100, ev + 2000)),
-        // Exactly one window (4096 µs) ahead.
+        // Exactly 4096 µs ahead.
         2 => Some((4096, ev + 3000)),
-        // Beyond the current epoch (> 2^24 µs).
+        // Far ahead (> 2^24 µs).
         3 => Some((1 << 25, ev + 4000)),
-        // Into the past, by 1 µs up to 2^25 µs (back across window and
-        // epoch edges): clamps to `now`, so the follow-up joins the
-        // in-flight timestamp behind every event already queued there.
+        // Into the past, by 1 µs up to 2^25 µs: clamps to `now`, so the
+        // follow-up joins the in-flight timestamp behind every event
+        // already queued there.
         4 => Some((-(1 << (ev % 26)), ev + 5000)),
         _ => None,
     }
@@ -124,10 +124,10 @@ fn chain_spec(ev: u32) -> Option<(i64, u32)> {
 // Fault-injection program: cancellation via tombstones + requeue.
 //
 // The platform's chaos layer cannot delete events already inside the
-// timer wheel; it tombstones the dead target and requeues the work as a
+// scheduler; it tombstones the dead target and requeues the work as a
 // fresh event (see `fluidfaas::platform::engine`). These tests pin the
 // scheduler-level contract that pattern relies on: a tombstone set
-// consulted at delivery time, applied identically over the wheel and the
+// consulted at delivery time, applied identically over the scheduler and the
 // reference heap, yields identical logs, clocks and pending counts.
 // ---------------------------------------------------------------------
 
@@ -162,7 +162,7 @@ fn chaos_step(
         log.push((now, ev));
         None
     } else if tomb.contains(&ev) {
-        // A tombstoned victim still *arrives* (the wheel has no delete);
+        // A tombstoned victim still *arrives* (the scheduler has no delete);
         // the handler records it as skipped and does no work.
         log.push((now, SKIP_BASE + ev));
         None
@@ -211,11 +211,11 @@ fn ref_run_chaos(
     }
 }
 
-struct WheelWorld {
+struct SchedWorld {
     log: Vec<(u64, u32)>,
 }
 
-impl World for WheelWorld {
+impl World for SchedWorld {
     type Event = u32;
     fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
         self.log.push((now.as_micros(), ev));
@@ -244,40 +244,40 @@ fn ref_chain(r: &mut RefScheduler, now: u64, ev: u32) {
     }
 }
 
-/// Timestamps drawn to collide often and to straddle the wheel's
-/// boundaries: slot-sized, window-sized and epoch-sized strata.
+/// Timestamps drawn to collide often and to spread across scales:
+/// microsecond, 4096 µs, 2^24 µs and 2^28 µs strata.
 fn arb_time() -> impl Strategy<Value = u64> {
     prop_oneof![
-        // Dense cluster inside one L0 window — forces FIFO ties.
+        // Dense cluster — forces FIFO ties.
         0u64..16,
-        // Around the 4096 µs window edge.
+        // Around 4096 µs.
         4090u64..4102,
-        // Anywhere in the first epoch.
+        // Anywhere below 2^24 µs.
         0u64..(1 << 24),
-        // Later epochs (far-heap territory).
+        // Far future.
         (1u64 << 24)..(1 << 28),
     ]
 }
 
 proptest! {
     /// Arbitrary pushes + handler chains execute in identical (time, seq)
-    /// order on the wheel and the reference heap.
+    /// order on the scheduler and the reference heap.
     #[test]
-    fn wheel_matches_reference_heap(times in proptest::collection::vec(arb_time(), 1..40)) {
-        let mut wheel_world = WheelWorld { log: vec![] };
-        let mut wheel = Scheduler::new();
+    fn scheduler_matches_reference_heap(times in proptest::collection::vec(arb_time(), 1..40)) {
+        let mut sched_world = SchedWorld { log: vec![] };
+        let mut sched = Scheduler::new();
         let mut reference = RefScheduler::default();
         let mut ref_log = Vec::new();
         for (i, &t) in times.iter().enumerate() {
-            wheel.at(SimTime::from_micros(t), i as u32);
+            sched.at(SimTime::from_micros(t), i as u32);
             reference.at(t, i as u32);
         }
-        let wheel_stop = run_until(&mut wheel_world, &mut wheel, SimTime::MAX);
+        let sched_stop = run_until(&mut sched_world, &mut sched, SimTime::MAX);
         let ref_stop = reference.run_until(u64::MAX, &mut ref_log, ref_chain);
-        prop_assert_eq!(wheel_stop, ref_stop);
-        prop_assert_eq!(&wheel_world.log, &ref_log);
-        prop_assert_eq!(wheel.pending(), 0);
-        prop_assert_eq!(wheel.clamps(), reference.clamps);
+        prop_assert_eq!(sched_stop, ref_stop);
+        prop_assert_eq!(&sched_world.log, &ref_log);
+        prop_assert_eq!(sched.pending(), 0);
+        prop_assert_eq!(sched.clamps(), reference.clamps);
     }
 
     /// Multi-deadline runs agree too, including deadlines that land exactly
@@ -297,35 +297,35 @@ proptest! {
         }
         deadlines.sort_unstable();
 
-        let mut wheel_world = WheelWorld { log: vec![] };
-        let mut wheel = Scheduler::new();
+        let mut sched_world = SchedWorld { log: vec![] };
+        let mut sched = Scheduler::new();
         let mut reference = RefScheduler::default();
         let mut ref_log = Vec::new();
         for (i, &t) in times.iter().enumerate() {
-            wheel.at(SimTime::from_micros(t), i as u32);
+            sched.at(SimTime::from_micros(t), i as u32);
             reference.at(t, i as u32);
         }
         for (k, &until) in deadlines.iter().enumerate() {
-            let ws = run_until(&mut wheel_world, &mut wheel, SimTime::from_micros(until));
+            let ws = run_until(&mut sched_world, &mut sched, SimTime::from_micros(until));
             let rs = reference.run_until(until, &mut ref_log, ref_chain);
             prop_assert_eq!(ws, rs, "stop reason diverged at deadline {}", k);
-            prop_assert_eq!(&wheel_world.log, &ref_log);
-            prop_assert_eq!(wheel.now().as_micros(), reference.now);
-            prop_assert_eq!(wheel.pending(), reference.heap.len());
-            prop_assert_eq!(wheel.clamps(), reference.clamps);
+            prop_assert_eq!(&sched_world.log, &ref_log);
+            prop_assert_eq!(sched.now().as_micros(), reference.now);
+            prop_assert_eq!(sched.pending(), reference.heap.len());
+            prop_assert_eq!(sched.clamps(), reference.clamps);
             // Interleave a push between segments; past times clamp to now
             // on both sides.
             let t = extra[k % extra.len()];
             let id = 500 + k as u32;
-            wheel.at(SimTime::from_micros(t), id);
+            sched.at(SimTime::from_micros(t), id);
             reference.at(t, id);
         }
-        let ws = run_until(&mut wheel_world, &mut wheel, SimTime::MAX);
+        let ws = run_until(&mut sched_world, &mut sched, SimTime::MAX);
         let rs = reference.run_until(u64::MAX, &mut ref_log, ref_chain);
         prop_assert_eq!(ws, rs);
-        prop_assert_eq!(&wheel_world.log, &ref_log);
-        prop_assert_eq!(wheel.pending(), 0);
-        prop_assert_eq!(wheel.clamps(), reference.clamps);
+        prop_assert_eq!(&sched_world.log, &ref_log);
+        prop_assert_eq!(sched.pending(), 0);
+        prop_assert_eq!(sched.clamps(), reference.clamps);
     }
 
     /// The sorted bulk-load path is indistinguishable from individual
@@ -334,7 +334,7 @@ proptest! {
     fn preload_matches_pushes(times in proptest::collection::vec(arb_time(), 1..32)) {
         let mut times = times;
         times.sort_unstable();
-        let mut a_world = WheelWorld { log: vec![] };
+        let mut a_world = SchedWorld { log: vec![] };
         let mut a = Scheduler::new();
         a.preload_sorted(
             times
@@ -342,7 +342,7 @@ proptest! {
                 .enumerate()
                 .map(|(i, &t)| (SimTime::from_micros(t), i as u32)),
         );
-        let mut b_world = WheelWorld { log: vec![] };
+        let mut b_world = SchedWorld { log: vec![] };
         let mut b = Scheduler::new();
         for (i, &t) in times.iter().enumerate() {
             b.at(SimTime::from_micros(t), i as u32);
@@ -355,7 +355,7 @@ proptest! {
     /// Tombstone cancellation + requeue under fault injection: victims,
     /// cancellers (which tombstone a victim and requeue a copy), and
     /// post-tombstone deliveries (skipped) execute identically on the
-    /// wheel and the reference heap, across a mid-run deadline.
+    /// scheduler and the reference heap, across a mid-run deadline.
     #[test]
     fn tombstone_cancellation_matches_reference(
         victims in proptest::collection::vec(arb_time(), 1..24),
@@ -363,35 +363,35 @@ proptest! {
         mid in arb_time(),
     ) {
         let mut world = ChaosWorld { log: vec![], tomb: Default::default() };
-        let mut wheel = Scheduler::new();
+        let mut sched = Scheduler::new();
         let mut reference = RefScheduler::default();
         let mut ref_tomb = std::collections::HashSet::new();
         let mut ref_log = Vec::new();
         for (i, &t) in victims.iter().enumerate() {
-            wheel.at(SimTime::from_micros(t), i as u32);
+            sched.at(SimTime::from_micros(t), i as u32);
             reference.at(t, i as u32);
         }
         for &(t, k) in &cancels {
             // Cancellers may land before, at, or after their victim's
             // delivery time — all three orders must agree.
             let id = CANCEL_BASE + (k % victims.len()) as u32;
-            wheel.at(SimTime::from_micros(t), id);
+            sched.at(SimTime::from_micros(t), id);
             reference.at(t, id);
         }
         // Stop mid-run: pending counts must agree while tombstoned
         // victims and requeued copies are still in flight.
-        let ws = run_until(&mut world, &mut wheel, SimTime::from_micros(mid));
+        let ws = run_until(&mut world, &mut sched, SimTime::from_micros(mid));
         let rs = ref_run_chaos(&mut reference, mid, &mut ref_tomb, &mut ref_log);
         prop_assert_eq!(ws, rs);
         prop_assert_eq!(&world.log, &ref_log);
-        prop_assert_eq!(wheel.now().as_micros(), reference.now);
-        prop_assert_eq!(wheel.pending(), reference.heap.len());
-        let ws = run_until(&mut world, &mut wheel, SimTime::MAX);
+        prop_assert_eq!(sched.now().as_micros(), reference.now);
+        prop_assert_eq!(sched.pending(), reference.heap.len());
+        let ws = run_until(&mut world, &mut sched, SimTime::MAX);
         let rs = ref_run_chaos(&mut reference, u64::MAX, &mut ref_tomb, &mut ref_log);
         prop_assert_eq!(ws, rs);
         prop_assert_eq!(&world.log, &ref_log);
         prop_assert_eq!(&world.tomb, &ref_tomb);
-        prop_assert_eq!(wheel.pending(), 0);
+        prop_assert_eq!(sched.pending(), 0);
         // Every cancelled victim produced exactly one requeued copy.
         let requeues = world.log.iter().filter(|(_, e)| *e >= REQUEUE_BASE && *e < SKIP_BASE).count();
         prop_assert_eq!(requeues, world.tomb.len());

@@ -85,11 +85,6 @@ pub fn cycles_to_secs(cycles: u64) -> f64 {
     cycles as f64 / cycles_per_sec()
 }
 
-/// Converts a cycle count to nanoseconds using the calibrated rate.
-pub fn cycles_to_nanos(cycles: u64) -> f64 {
-    cycles_to_secs(cycles) * 1e9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

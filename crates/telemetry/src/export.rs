@@ -19,7 +19,6 @@ use std::path::Path;
 
 use crate::clock;
 use crate::phase::{Phase, PhaseSnapshot};
-use crate::registry;
 
 /// Renders the per-phase profile as Prometheus exposition: one labelled
 /// sample per phase under two counter families (`self cycles` and
@@ -66,12 +65,11 @@ pub fn render_phase_exposition(snap: &PhaseSnapshot) -> String {
     out
 }
 
-/// Renders the full process exposition: the default registry's metrics,
-/// the merged phase profile, and the calibrated cycle rate. Flush
-/// threads of interest first ([`crate::flush_thread`]).
+/// Renders the full process exposition: the merged phase profile and the
+/// calibrated cycle rate. Flush threads of interest first
+/// ([`crate::flush_thread`]).
 pub fn render_prometheus() -> String {
-    let mut out = registry::default_registry().render();
-    out.push_str(&render_phase_exposition(&crate::snapshot()));
+    let mut out = render_phase_exposition(&crate::snapshot());
     let _ = writeln!(
         out,
         "# HELP ffs_telemetry_cycles_per_sec Calibrated profiler clock rate"
@@ -155,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn full_exposition_includes_registry_and_phases() {
+    fn full_exposition_includes_phases_and_clock_rate() {
         let text = render_prometheus();
         assert!(text.contains("# TYPE ffs_phase_self_cycles_total counter"));
         assert!(text.contains("ffs_telemetry_cycles_per_sec "));

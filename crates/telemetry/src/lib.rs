@@ -1,5 +1,5 @@
-//! Engine self-observation: an always-compiled-in phase profiler plus a
-//! static metrics registry.
+//! Engine self-observation: an always-compiled-in phase profiler and its
+//! exporters.
 //!
 //! The other observability crates watch the *simulated system*: `ffs-obs`
 //! records control-plane decisions, `ffs-metrics` scores the paper's
@@ -17,10 +17,6 @@
 //!   the engine's zero-allocation steady state. Harness threads fold
 //!   their accumulators into a process-wide snapshot via
 //!   [`flush_thread`] / [`snapshot`].
-//! * **Metrics registry** ([`counter`], [`gauge`], [`histogram`]) —
-//!   named process-wide counters, gauges and mergeable log2-bucket
-//!   histograms ([`Log2Histogram`]), registered once and updated with
-//!   relaxed atomics.
 //! * **Exporters** — Prometheus-style text exposition
 //!   ([`render_prometheus`]) and a collapsed-stack file
 //!   ([`write_collapsed`]) consumable by `inferno` / `flamegraph.pl`.
@@ -35,7 +31,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub mod clock;
 mod export;
 mod phase;
-mod registry;
 
 pub use export::{
     render_phase_exposition, render_prometheus, write_collapsed, write_prometheus_file,
@@ -43,9 +38,6 @@ pub use export::{
 pub use phase::{
     flush_thread, reset_for_tests, snapshot, span, PathStat, Phase, PhaseGuard, PhaseSnapshot,
     PHASE_COUNT,
-};
-pub use registry::{
-    counter, default_registry, gauge, histogram, Counter, Gauge, Log2Histogram, Registry,
 };
 
 /// The profiling on/off flag.

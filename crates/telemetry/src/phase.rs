@@ -49,8 +49,9 @@ pub enum Phase {
     TraceSynth = 0,
     /// Building engine state: catalog, fleet, slab, scheduler preload.
     EngineSetup = 1,
-    /// The event loop's wheel machinery: deadline probes, cursor
-    /// advances, pops (`run_until` minus its children).
+    /// Scheduler probe and pop: deadline probes and event pops
+    /// (`run_until` minus its children). The name predates the current
+    /// scheduler and is kept for the profile's consumers.
     WheelDrain = 2,
     /// One event through `World::handle` (event handler bodies outside
     /// the more specific phases below).
@@ -508,6 +509,10 @@ mod tests {
     #[test]
     fn nested_spans_charge_self_time_only() {
         crate::set_enabled(true);
+        // The first span exit in a process calibrates the clock-pair
+        // overhead; do it here, or the inner exit would charge that
+        // one-time work to the root's self-time.
+        clock::guard_overhead_cycles();
         take_local();
         {
             let _root = span(Phase::RunOther);

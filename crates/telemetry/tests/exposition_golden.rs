@@ -1,42 +1,11 @@
 //! Format goldens for the Prometheus text exposition.
 //!
 //! Scrape pipelines parse this output with line regexes, so the exact
-//! shape — HELP/TYPE headers, label quoting, cumulative `_bucket{le=}`
-//! series, `_sum`/`_count` — is a compatibility surface. These tests pin
-//! it byte-for-byte on a private registry and a hand-built snapshot
-//! (never the process-global state, which other tests mutate).
+//! shape — HELP/TYPE headers, label quoting — is a compatibility surface.
+//! This test pins it byte-for-byte on a hand-built snapshot (never the
+//! process-global state, which other tests mutate).
 
-use ffs_telemetry::{render_phase_exposition, Phase, PhaseSnapshot, Registry};
-
-#[test]
-fn registry_render_matches_golden() {
-    let r = Registry::new();
-    r.counter("ffs_demo_requests_total", "Requests accepted")
-        .add(3);
-    r.gauge("ffs_demo_queue_depth", "Pending requests").set(7);
-    let h = r.histogram("ffs_demo_latency_ns", "Request latency");
-    h.record(0);
-    h.record(1);
-    h.record(5);
-    h.record(5);
-    let golden = "\
-# HELP ffs_demo_latency_ns Request latency
-# TYPE ffs_demo_latency_ns histogram
-ffs_demo_latency_ns_bucket{le=\"0\"} 1
-ffs_demo_latency_ns_bucket{le=\"1\"} 2
-ffs_demo_latency_ns_bucket{le=\"7\"} 4
-ffs_demo_latency_ns_bucket{le=\"+Inf\"} 4
-ffs_demo_latency_ns_sum 11
-ffs_demo_latency_ns_count 4
-# HELP ffs_demo_queue_depth Pending requests
-# TYPE ffs_demo_queue_depth gauge
-ffs_demo_queue_depth 7
-# HELP ffs_demo_requests_total Requests accepted
-# TYPE ffs_demo_requests_total counter
-ffs_demo_requests_total 3
-";
-    assert_eq!(r.render(), golden);
-}
+use ffs_telemetry::{render_phase_exposition, Phase, PhaseSnapshot};
 
 #[test]
 fn phase_exposition_matches_golden() {

@@ -105,12 +105,6 @@ impl ScaleTraceConfig {
         ((f as u64) << 32) | k as u64
     }
 
-    /// The home cell of function `f` in a `cells`-way split.
-    #[inline]
-    pub fn home_cell(f: usize, cells: usize) -> usize {
-        f % cells
-    }
-
     /// Sum of the (unnormalized) per-function weights.
     fn total_weight(&self) -> f64 {
         (0..self.functions)
