@@ -1,7 +1,9 @@
 //! Microbenchmarks of the simulation hot path: scheduler push/pop churn,
 //! SoA column scans against record scans, the incremental routing index
-//! against the full admission scan, the incremental plan-cache signature
-//! against recomputing it from the free-slice list, and an end-to-end run
+//! against the full admission scan, the maintained overflow view against
+//! the scan it replaced, the incremental plan-cache signature against
+//! recomputing it from the free-slice list, placement over one node per
+//! distinct signature against the every-node walk, and an end-to-end run
 //! that exercises every hot-path change at once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -12,13 +14,15 @@ use ffs_pipeline::plan::StagePlan;
 use ffs_pipeline::{DeploymentPlan, InstanceEstimate};
 use ffs_profile::{App, FunctionProfile, PerfModel, Variant};
 use ffs_sim::{run_until, Scheduler, SimTime, World};
+use ffs_trace::Trace;
 use ffs_trace::{AzureTraceConfig, WorkloadClass};
 use fluidfaas::instance::{Instance, Phase, StageTimings};
 use fluidfaas::plancache::{slice_signature, PlanCache};
 use fluidfaas::platform::events::InstanceId;
+use fluidfaas::platform::policy::{ExclusiveView, Placer};
 use fluidfaas::platform::runner::run_platform;
-use fluidfaas::platform::slab::InstanceSlab;
-use fluidfaas::{FfsConfig, FluidFaaSSystem};
+use fluidfaas::platform::slab::{InstanceSlab, PhaseTag};
+use fluidfaas::{paper_policies, Engine, FfsConfig, FluidFaaSSystem, FluidPlacer};
 
 // ---------------------------------------------------------------------
 // Scheduler push/pop
@@ -219,6 +223,41 @@ fn bench_route_index(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------
+// Overflow view: maintained aggregate vs full scan
+// ---------------------------------------------------------------------
+
+/// The per-request overflow check's input on one function with 1024
+/// instances (a `fleet_1024` hot function holds about 900): the slab's
+/// maintained view against the walk over every instance it replaced.
+fn bench_overflow_view(c: &mut Criterion) {
+    const FLEET: u64 = 1024;
+    let slab = scan_slab(FLEET);
+    let mut g = c.benchmark_group("overflow_view_1024_instances");
+    g.bench_function("aggregate", |b| {
+        b.iter(|| black_box(slab.exclusive_view(0)))
+    });
+    g.bench_function("full_scan", |b| {
+        b.iter(|| {
+            let mut v = ExclusiveView::EMPTY;
+            for id in (0..FLEET).map(InstanceId) {
+                match slab.phase_tag(id) {
+                    PhaseTag::Ready => {
+                        v.ready += 1;
+                        v.occupancy += slab.occupancy_of(id) as usize;
+                        v.best_bottleneck_ms = v.best_bottleneck_ms.min(slab.bottleneck_ms_of(id));
+                        v.best_latency_ms = v.best_latency_ms.min(slab.latency_ms_of(id));
+                    }
+                    PhaseTag::Launching => v.launching += 1,
+                    PhaseTag::Draining | PhaseTag::Empty => {}
+                }
+            }
+            black_box(v)
+        })
+    });
+    g.finish();
+}
+
+// ---------------------------------------------------------------------
 // Plan-cache hit: incremental signature vs recomputed signature
 // ---------------------------------------------------------------------
 
@@ -256,6 +295,73 @@ fn bench_plan_cache_hit(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------
+// Placement: one probe per distinct node signature vs every node
+// ---------------------------------------------------------------------
+
+/// One warm-cache placement of a heavy function on 128 nodes × 8 GPUs in
+/// the shape a loaded large fleet takes: most nodes full, a few with one
+/// slice taken, the rest free — three distinct free-slice signatures.
+/// `FluidPlacer::place` probes the first node of each signature; the
+/// every-node arm is the walk it replaced, one plan-cache lookup per node.
+/// (On a fleet where every node has its own signature both walks make 128
+/// lookups.)
+fn bench_place(c: &mut Criterion) {
+    let mut cfg = FfsConfig::paper_default(WorkloadClass::Heavy);
+    cfg.nodes = 128;
+    let trace = Trace {
+        invocations: Vec::new(),
+        duration: ffs_sim::SimDuration::from_secs(1),
+    };
+    let policies = paper_policies(&cfg);
+    let mut engine = Engine::new(cfg, policies, &trace).expect("valid engine");
+    let core = &mut engine.core;
+    let mut rng = SEED;
+    for n in 0..core.fleet.node_count() {
+        let free = core.fleet.free_slices(Some(NodeId(n as u16)));
+        let take = match xorshift(&mut rng) % 8 {
+            0..=4 => free.len(),
+            5 => 1,
+            _ => 0,
+        };
+        for s in &free[..take] {
+            core.fleet.allocate(s.id).expect("free slice allocates");
+        }
+    }
+    let f = 0;
+    let placer = FluidPlacer { ranked: true };
+
+    let mut g = c.benchmark_group("place_128_nodes");
+    g.bench_function("signature_walk", |b| {
+        b.iter(|| black_box(placer.place(core, f)))
+    });
+    g.bench_function("every_node_walk", |b| {
+        b.iter(|| {
+            let profile = core.catalog.profile(f);
+            let mut chosen: Option<(DeploymentPlan, NodeId)> = None;
+            for node in core.fleet.nodes() {
+                let sig = core.fleet.node_signature(node.id);
+                let plan =
+                    core.plan_cache
+                        .plan_with_signature(f, node.id, true, profile, sig, || {
+                            core.fleet.free_slices(Some(node.id))
+                        });
+                if let Some(p) = plan {
+                    let better = match &chosen {
+                        None => true,
+                        Some((c, _)) => (p.num_stages(), p.cv) < (c.num_stages(), c.cv),
+                    };
+                    if better {
+                        chosen = Some((p, node.id));
+                    }
+                }
+            }
+            black_box(chosen)
+        })
+    });
+    g.finish();
+}
+
+// ---------------------------------------------------------------------
 // End-to-end run (all hot-path changes at once)
 // ---------------------------------------------------------------------
 
@@ -279,7 +385,9 @@ criterion_group!(
     bench_scheduler_push_pop,
     bench_soa_scan,
     bench_route_index,
+    bench_overflow_view,
     bench_plan_cache_hit,
+    bench_place,
     bench_end_to_end
 );
 criterion_main!(hotpath);

@@ -13,6 +13,12 @@
 //! the key: because every allocate/release clears the cache, the free set
 //! behind a surviving entry is bitwise the exact set it was computed from,
 //! and the cached plan's slice ids are still free.
+//!
+//! The placement and migration walks (`crate::system`) look up only the
+//! first node of each distinct signature: nodes with equal signatures get
+//! plans that differ only in slice ids, so a later one can never win. A
+//! walk therefore makes one lookup per distinct signature, not one per
+//! node.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

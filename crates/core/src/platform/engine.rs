@@ -856,7 +856,8 @@ impl EngineCore {
         // The exclusive-instance side is an incremental column sum: stage
         // start/finish keep `busy_gpcs` current, so the per-tick cost is one
         // integer pass instead of walking every instance's stage arrays.
-        self.instances.debug_assert_hot_consistent();
+        self.instances
+            .debug_assert_hot_consistent(|f| self.catalog.slo_ms(f));
         let mut busy_gpcs = self.instances.busy_gpcs_total() as u32;
         for slot in self.pool.slots() {
             if slot.busy_with.is_some() || slot.loading.is_some() {

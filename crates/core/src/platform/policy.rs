@@ -259,18 +259,40 @@ pub struct ExclusiveView {
     pub best_latency_ms: f64,
 }
 
-/// Summarizes `f`'s exclusive fleet for [`overflow_decision`].
-pub fn exclusive_view(core: &EngineCore, f: FuncId) -> ExclusiveView {
-    let mut v = ExclusiveView {
+impl ExclusiveView {
+    /// The view of a function with no ready or launching instance.
+    pub const EMPTY: ExclusiveView = ExclusiveView {
         ready: 0,
         launching: 0,
         occupancy: 0,
         best_bottleneck_ms: f64::INFINITY,
         best_latency_ms: f64::INFINITY,
     };
-    // Hot-column scan: the per-instance scalars (phase tag, occupancy,
-    // estimate) live in the slab's SoA columns, so this per-dispatch loop
-    // never touches the full instance records.
+}
+
+/// Summarizes `f`'s exclusive fleet for [`overflow_decision`].
+///
+/// Reads the per-function view the slab maintains at its five mutation
+/// sites, so the per-request cost does not grow with the number of
+/// instances. The view aggregates only counts and `f64::min`, which do not
+/// depend on visiting order, so it is bit-identical to
+/// `exclusive_view_full_scan` (`debug_assert`ed equal here and pinned by
+/// `proptest_route_index`).
+pub fn exclusive_view(core: &EngineCore, f: FuncId) -> ExclusiveView {
+    let v = core.instances.exclusive_view(f);
+    debug_assert_eq!(
+        v,
+        exclusive_view_full_scan(core, f),
+        "maintained overflow view disagrees with the full scan for function {f}"
+    );
+    v
+}
+
+/// The reference scan [`exclusive_view`] replaced: every instance of `f`,
+/// read from the slab's hot columns. Kept as the executable specification
+/// of the maintained view.
+pub(crate) fn exclusive_view_full_scan(core: &EngineCore, f: FuncId) -> ExclusiveView {
+    let mut v = ExclusiveView::EMPTY;
     for &id in &core.instances_of[f] {
         match core.instances.phase_tag(id) {
             PhaseTag::Ready => {

@@ -11,8 +11,10 @@
 //! unaffected by the swap.
 //!
 //! Slots of retired instances stay as `None` tombstones; the vector's
-//! length is the highest id ever live, which stays small (hundreds) for
-//! any realistic run because launches are rate-limited per scale tick.
+//! length is the highest id ever launched in the run. That is hundreds on
+//! the paper's 16-GPU fleet and thousands at fleet scale (a 1024-GPU cell
+//! launches about 2,500 instances over a 15 s trace), so nothing on the
+//! per-request path may walk the slots.
 //!
 //! ## Hot columns (SoA)
 //!
@@ -52,10 +54,30 @@
 //! `debug_assert_hot_consistent` re-derives the whole index in debug
 //! builds, and `crates/core/tests/proptest_route_index.rs` pins
 //! index-vs-scan equivalence on random mutation sequences.
+//!
+//! ## Overflow view
+//!
+//! The overflow-to-shared decision (§5.3) runs on every request that finds
+//! no admissible instance and needs the function's [`ExclusiveView`]:
+//! Ready and Launching counts, the summed occupancy of the Ready
+//! instances, and the minimum `bottleneck_ms` and `latency_ms` over them.
+//! The slab keeps that view per function, maintained at the same five
+//! sites as the routing index, so the check is O(1) instead of a walk over
+//! every instance of the function. Only integer counts and `f64::min` are
+//! aggregated; both are independent of visiting order, so the view is
+//! bit-identical to the scan it replaces
+//! (`policy::exclusive_view_full_scan`).
+//! A minimum cannot be un-applied, so when a Ready instance that holds one
+//! leaves Ready (retirement, migration drain, fault) the function's view is
+//! re-derived from the columns — a rare event next to the per-request
+//! reads. `debug_assert_hot_consistent` re-derives every view, and the
+//! route-index property test checks view against scan after every
+//! operation.
 
 use crate::instance::{Instance, Phase};
 use crate::platform::catalog::FuncId;
 use crate::platform::events::InstanceId;
+use crate::platform::policy::ExclusiveView;
 use ffs_telemetry::{span, Phase as TelemetryPhase};
 
 /// Sentinel in the `func` column for empty slots.
@@ -102,6 +124,9 @@ pub struct InstanceSlab {
     /// The routing index: per-function ascending-id lists of admissible
     /// instances (see the module docs).
     admissible: Vec<Vec<u32>>,
+    /// Per-function overflow view over the live instances (see the module
+    /// docs); functions past the end have no instances.
+    views: Vec<ExclusiveView>,
 }
 
 impl InstanceSlab {
@@ -167,9 +192,13 @@ impl InstanceSlab {
         if inst.func >= self.admissible.len() {
             self.admissible.resize_with(inst.func + 1, Vec::new);
         }
+        if inst.func >= self.views.len() {
+            self.views.resize(inst.func + 1, ExclusiveView::EMPTY);
+        }
         self.slots[idx] = Some(inst);
         self.live += 1;
         self.index_update(idx, false);
+        self.view_enter(idx);
     }
 
     /// Removes and returns the instance under `id`, if live.
@@ -179,7 +208,9 @@ impl InstanceSlab {
             let idx = id.0 as usize;
             let was =
                 self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
+            let tag = self.phase[idx];
             self.phase[idx] = PhaseTag::Empty;
+            self.view_leave(idx, tag);
             self.occupancy[idx] = 0;
             self.admit_cap[idx] = 0;
             self.latency_ms[idx] = 0.0;
@@ -200,8 +231,82 @@ impl InstanceSlab {
         let was = self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
         let inst = self.slots[idx].as_mut().expect("live instance");
         inst.phase = phase;
+        let tag = self.phase[idx];
         self.phase[idx] = PhaseTag::of(&phase);
+        if tag != self.phase[idx] {
+            self.view_leave(idx, tag);
+            self.view_enter(idx);
+        }
         self.index_update(idx, was);
+    }
+
+    /// Folds slot `idx`, in its current phase, into `v`.
+    #[inline]
+    fn view_add(&self, v: &mut ExclusiveView, idx: usize) {
+        match self.phase[idx] {
+            PhaseTag::Ready => {
+                v.ready += 1;
+                v.occupancy += self.occupancy[idx] as usize;
+                v.best_bottleneck_ms = v.best_bottleneck_ms.min(self.bottleneck_ms[idx]);
+                v.best_latency_ms = v.best_latency_ms.min(self.latency_ms[idx]);
+            }
+            PhaseTag::Launching => v.launching += 1,
+            PhaseTag::Draining | PhaseTag::Empty => {}
+        }
+    }
+
+    /// Adds slot `idx`, in its current phase, to its function's view.
+    #[inline]
+    fn view_enter(&mut self, idx: usize) {
+        let f = self.func[idx];
+        let mut v = self.views[f];
+        self.view_add(&mut v, idx);
+        self.views[f] = v;
+    }
+
+    /// Takes slot `idx` out of its function's view. `was` is the phase the
+    /// slot counted under; the phase column must already hold the new
+    /// phase, so a re-derivation no longer sees the slot as Ready.
+    #[inline]
+    fn view_leave(&mut self, idx: usize, was: PhaseTag) {
+        let f = self.func[idx];
+        let v = self.views[f];
+        match was {
+            PhaseTag::Ready
+                if self.bottleneck_ms[idx] == v.best_bottleneck_ms
+                    || self.latency_ms[idx] == v.best_latency_ms =>
+            {
+                // A minimum holder left: re-derive the whole view.
+                self.views[f] = self.scan_view(f);
+            }
+            PhaseTag::Ready => {
+                let v = &mut self.views[f];
+                v.ready -= 1;
+                v.occupancy -= self.occupancy[idx] as usize;
+            }
+            PhaseTag::Launching => self.views[f].launching -= 1,
+            PhaseTag::Draining | PhaseTag::Empty => {}
+        }
+    }
+
+    /// `f`'s overflow view derived from the hot columns by a walk over
+    /// every slot: the re-derivation when a minimum holder leaves Ready,
+    /// and the debug check of the maintained view.
+    fn scan_view(&self, f: FuncId) -> ExclusiveView {
+        let mut v = ExclusiveView::EMPTY;
+        for idx in 0..self.func.len() {
+            if self.func[idx] == f {
+                self.view_add(&mut v, idx);
+            }
+        }
+        v
+    }
+
+    /// The maintained overflow view of `f`: O(1), and equal to
+    /// `policy::exclusive_view_full_scan`.
+    #[inline]
+    pub fn exclusive_view(&self, f: FuncId) -> ExclusiveView {
+        self.views.get(f).copied().unwrap_or(ExclusiveView::EMPTY)
     }
 
     /// Reconciles slot `idx`'s routing-index membership after a column
@@ -293,6 +398,9 @@ impl InstanceSlab {
         let idx = id.0 as usize;
         let was = self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
         self.occupancy[idx] += 1;
+        if self.phase[idx] == PhaseTag::Ready {
+            self.views[self.func[idx]].occupancy += 1;
+        }
         self.index_update(idx, was);
     }
 
@@ -312,6 +420,9 @@ impl InstanceSlab {
             let was =
                 self.phase[idx] == PhaseTag::Ready && self.occupancy[idx] < self.admit_cap[idx];
             self.occupancy[idx] -= 1;
+            if self.phase[idx] == PhaseTag::Ready {
+                self.views[self.func[idx]].occupancy -= 1;
+            }
             self.index_update(idx, was);
         }
     }
@@ -322,10 +433,12 @@ impl InstanceSlab {
         self.busy_gpcs.iter().map(|&g| g as u64).sum()
     }
 
-    /// Re-derives every hot column from the instance records and asserts
-    /// they match; debug builds call this from the per-tick path so any
+    /// Re-derives every hot column from the instance records (`slo_ms`
+    /// gives each function's SLO, the input of the admission bound) and
+    /// asserts they match, then re-derives the routing index and every
+    /// overflow view; debug builds call this from the per-tick path so any
     /// missed update site fails fast.
-    pub fn debug_assert_hot_consistent(&self) {
+    pub fn debug_assert_hot_consistent(&self, slo_ms: impl Fn(FuncId) -> f64) {
         if cfg!(debug_assertions) {
             for (idx, slot) in self.slots.iter().enumerate() {
                 match slot {
@@ -333,6 +446,13 @@ impl InstanceSlab {
                     Some(inst) => {
                         debug_assert_eq!(self.phase[idx], PhaseTag::of(&inst.phase));
                         debug_assert_eq!(self.occupancy[idx], inst.occupancy() as u32);
+                        debug_assert_eq!(
+                            self.admit_cap[idx],
+                            inst.capacity(slo_ms(inst.func)).min(u32::MAX as usize) as u32
+                        );
+                        debug_assert_eq!(self.latency_ms[idx], inst.est.latency_ms);
+                        debug_assert_eq!(self.bottleneck_ms[idx], inst.est.bottleneck_ms);
+                        debug_assert_eq!(self.throughput_rps[idx], inst.est.throughput_rps);
                         let busy: u32 = inst
                             .stage_busy
                             .iter()
@@ -361,6 +481,13 @@ impl InstanceSlab {
                     .collect();
                 debug_assert_eq!(list, &expect, "routing index diverged for function {f}");
             }
+            for (f, view) in self.views.iter().enumerate() {
+                debug_assert_eq!(
+                    *view,
+                    self.scan_view(f),
+                    "overflow view diverged for function {f}"
+                );
+            }
         }
     }
 
@@ -381,6 +508,7 @@ impl InstanceSlab {
         for list in &mut self.admissible {
             list.clear();
         }
+        self.views.clear();
         self.live = 0;
     }
 
@@ -398,6 +526,7 @@ impl InstanceSlab {
             + self.func.capacity()
             + self.admissible.capacity()
             + self.admissible.iter().map(Vec::capacity).sum::<usize>()
+            + self.views.capacity()
     }
 
     /// Live instance ids, ascending.
@@ -522,16 +651,48 @@ mod tests {
         slab.get_mut(&id).unwrap().stage_busy[0] = Some(7);
         slab.note_stage_started(id, 1);
         assert_eq!(slab.busy_gpcs_total(), 1);
-        slab.debug_assert_hot_consistent();
+        slab.debug_assert_hot_consistent(|_| 100.0);
         slab.get_mut(&id).unwrap().stage_busy[0] = None;
         slab.note_stage_finished(id, 1, true);
         assert_eq!(slab.occupancy_of(id), 0);
         assert_eq!(slab.busy_gpcs_total(), 0);
-        slab.debug_assert_hot_consistent();
+        slab.debug_assert_hot_consistent(|_| 100.0);
 
         slab.remove(&id);
         assert_eq!(slab.phase_tag(id), PhaseTag::Empty);
         assert_eq!(slab.phase_tag(InstanceId(99)), PhaseTag::Empty);
+    }
+
+    #[test]
+    fn overflow_view_rederives_minimum_when_holder_leaves() {
+        let mut slab = InstanceSlab::new();
+        for (id, lat) in [(0u64, 4.0), (1, 2.0), (2, 3.0)] {
+            let mut i = inst(id);
+            i.est.latency_ms = lat;
+            slab.insert(InstanceId(id), i, 100.0);
+        }
+        assert_eq!(slab.exclusive_view(0).launching, 3);
+        for id in 0..3 {
+            slab.set_phase(&InstanceId(id), Phase::Ready);
+        }
+        slab.note_admitted(InstanceId(2));
+        slab.get_mut(&InstanceId(2)).unwrap().stage_queues[0].push_back(7);
+        let v = slab.exclusive_view(0);
+        assert_eq!((v.ready, v.launching, v.occupancy), (3, 0, 1));
+        assert_eq!(v.best_latency_ms, 2.0);
+        // The holder of the latency minimum drains: the next best takes over.
+        slab.set_phase(&InstanceId(1), Phase::Draining);
+        assert_eq!(slab.exclusive_view(0).best_latency_ms, 3.0);
+        slab.remove(&InstanceId(1));
+        // The new holder retires; its request leaves the view with it.
+        slab.get_mut(&InstanceId(2)).unwrap().stage_queues[0].clear();
+        slab.note_stage_finished(InstanceId(2), 0, true);
+        slab.remove(&InstanceId(2));
+        let v = slab.exclusive_view(0);
+        assert_eq!((v.ready, v.occupancy, v.best_latency_ms), (1, 0, 4.0));
+        slab.remove(&InstanceId(0));
+        assert_eq!(slab.exclusive_view(0), ExclusiveView::EMPTY);
+        slab.debug_assert_hot_consistent(|_| 100.0);
     }
 
     #[test]
@@ -548,6 +709,6 @@ mod tests {
         // Reusable: fresh inserts behave normally.
         slab.insert(InstanceId(0), inst(0), 100.0);
         assert_eq!(slab.len(), 1);
-        slab.debug_assert_hot_consistent();
+        slab.debug_assert_hot_consistent(|_| 100.0);
     }
 }

@@ -5,7 +5,7 @@
 //! routing ([`FluidRouter`]), autoscaling with the Fig. 8 keep-alive
 //! lineage ([`FluidAutoscaler`]) and pipeline migration ([`FluidMigrator`]).
 
-use ffs_mig::NodeId;
+use ffs_mig::{Fleet, NodeId};
 use ffs_pipeline::DeploymentPlan;
 use ffs_sim::{Scheduler, SimDuration, SimTime, World};
 use ffs_trace::Trace;
@@ -422,7 +422,9 @@ pub fn launch_exclusive(
 
 /// On-the-fly pipeline construction: per node, the best (CV-ranked or
 /// first-feasible) partition that fits the free slices; across nodes,
-/// prefer fewer stages, then lower CV.
+/// prefer fewer stages, then lower CV, then the lowest node index. Only
+/// the first node of each distinct free-slice signature is probed (see
+/// `first_node_per_signature`).
 pub struct FluidPlacer {
     /// CV-ranked partition search (the paper's §5.2) vs
     /// first-feasible-in-enumeration-order (ablation).
@@ -444,9 +446,7 @@ impl Placer for FluidPlacer {
         let profile = catalog.profile(f);
         let mut chosen: Option<DeploymentPlan> = None;
         let mut chosen_node = None;
-        for i in 0..fleet.node_count() {
-            let node = fleet.nodes()[i].id;
-            let sig = fleet.node_signature(node);
+        for (node, sig) in first_node_per_signature(fleet) {
             let plan = plan_cache.plan_with_signature(f, node, self.ranked, profile, sig, || {
                 fleet.free_slices(Some(node))
             });
@@ -488,6 +488,51 @@ impl Placer for FluidPlacer {
     }
 }
 
+/// The fleet's nodes in index order with their free-slice signatures,
+/// keeping only the first node of each distinct signature.
+///
+/// Placement and the migration probe walk only these. The planner reads
+/// nothing but slice profiles, and it orders candidate slices by profile
+/// before id, so nodes with equal signatures get plans with equal
+/// partition, stage profiles and CV. A later node can therefore never be
+/// strictly better than the first node with its signature: placement
+/// still picks the lowest-index node holding the best plan, and the probe
+/// still answers whether any node fits. The walk costs
+/// O(nodes × distinct signatures) compares, and one plan-cache lookup per
+/// distinct signature.
+fn first_node_per_signature(fleet: &Fleet) -> Vec<(NodeId, u64)> {
+    let mut firsts: Vec<(NodeId, u64)> = Vec::new();
+    for node in fleet.nodes() {
+        let sig = fleet.node_signature(node.id);
+        if firsts.iter().all(|&(_, seen)| seen != sig) {
+            firsts.push((node.id, sig));
+        }
+    }
+    firsts
+}
+
+/// Whether some node's free slices could host a monolithic (ranked) plan
+/// of `f` right now: the migration probe, one plan-cache lookup per
+/// distinct node signature.
+pub fn monolithic_placement_exists(core: &mut EngineCore, f: FuncId) -> bool {
+    // Split borrows: the plan cache mutates while the fleet and catalog
+    // are only read; the slice list is only materialized on a cache miss.
+    let EngineCore {
+        plan_cache,
+        fleet,
+        catalog,
+        ..
+    } = core;
+    let profile = catalog.profile(f);
+    first_node_per_signature(fleet)
+        .into_iter()
+        .any(|(node, sig)| {
+            plan_cache.monolithic_possible_with_signature(f, node, profile, sig, || {
+                fleet.free_slices(Some(node))
+            })
+        })
+}
+
 // ----------------------------------------------------------------------
 // Pipeline migration (§5.3)
 // ----------------------------------------------------------------------
@@ -515,30 +560,9 @@ impl Migrator for FluidMigrator {
                 continue;
             };
             // A monolithic plan on currently free slices? (Always the
-            // ranked planner: monolithic ranks first regardless.) Probed
-            // through the incremental node signature; the slice list is
-            // only materialized on a cache miss.
-            let mut mono_possible = false;
+            // ranked planner: monolithic ranks first regardless.)
+            if monolithic_placement_exists(core, f) && launch_exclusive(core, placer, f, now, sched)
             {
-                let EngineCore {
-                    plan_cache,
-                    fleet,
-                    catalog,
-                    ..
-                } = &mut *core;
-                let profile = catalog.profile(f);
-                for i in 0..fleet.node_count() {
-                    let node = fleet.nodes()[i].id;
-                    let sig = fleet.node_signature(node);
-                    if plan_cache.monolithic_possible_with_signature(f, node, profile, sig, || {
-                        fleet.free_slices(Some(node))
-                    }) {
-                        mono_possible = true;
-                        break;
-                    }
-                }
-            }
-            if mono_possible && launch_exclusive(core, placer, f, now, sched) {
                 core.sched_log.migrations += 1;
                 ffs_obs::record(|| ffs_obs::ObsEvent::MigrationStarted {
                     func: f as u32,

@@ -13,12 +13,16 @@
 //! * the argmin-latency winner over the index equals the winner of the
 //!   full filter-scan it replaced (strict `<`, so the lowest id wins
 //!   ties — the first-best-by-id contract routing relies on);
+//! * the slab's maintained overflow view of `f` equals the full scan over
+//!   the model's instances of `f`: Ready and Launching counts, summed
+//!   Ready occupancy, and the minimum bottleneck and latency over Ready;
 //! * `debug_assert_hot_consistent` passes (record and columns in
 //!   lockstep).
 //!
-//! Latencies are drawn from a tiny set so ties are the common case, and
-//! bottleneck times are chosen to give admission caps of 1–3 so
-//! admissions actually saturate instances in and out of the index.
+//! Latencies and bottleneck times are drawn independently from tiny sets,
+//! so argmin ties and departures of a minimum holder are the common case.
+//! The bottleneck times give admission caps of 1–3, so admissions
+//! actually saturate instances in and out of the index.
 
 use proptest::prelude::*;
 
@@ -29,6 +33,7 @@ use ffs_pipeline::{DeploymentPlan, InstanceEstimate};
 use ffs_sim::SimTime;
 use fluidfaas::instance::{Instance, Phase, StageTimings};
 use fluidfaas::platform::events::InstanceId;
+use fluidfaas::platform::policy::ExclusiveView;
 use fluidfaas::platform::slab::{InstanceSlab, PhaseTag};
 
 /// Functions the test spreads instances across.
@@ -111,6 +116,29 @@ fn argmin_full_scan(slab: &InstanceSlab, model: &[(u64, usize)], f: usize) -> Op
     best.map(|(id, _)| id)
 }
 
+/// The scan the maintained overflow view replaced: every instance of `f`,
+/// read from the slab's columns.
+fn view_full_scan(slab: &InstanceSlab, model: &[(u64, usize)], f: usize) -> ExclusiveView {
+    let mut v = ExclusiveView::EMPTY;
+    for &(id, func) in model {
+        let id = InstanceId(id);
+        if func != f {
+            continue;
+        }
+        match slab.phase_tag(id) {
+            PhaseTag::Ready => {
+                v.ready += 1;
+                v.occupancy += slab.occupancy_of(id) as usize;
+                v.best_bottleneck_ms = v.best_bottleneck_ms.min(slab.bottleneck_ms_of(id));
+                v.best_latency_ms = v.best_latency_ms.min(slab.latency_ms_of(id));
+            }
+            PhaseTag::Launching => v.launching += 1,
+            PhaseTag::Draining | PhaseTag::Empty => {}
+        }
+    }
+    v
+}
+
 proptest! {
     /// Index ≡ full scan after every mutation of a random operation
     /// sequence.
@@ -128,9 +156,11 @@ proptest! {
                 // Insert a launching instance: never admissible yet.
                 0 => {
                     let func = pick % FUNCS;
-                    // Few distinct latencies → argmin ties are common.
+                    // Few distinct latencies and bottlenecks, drawn
+                    // independently → ties and min-holder departures are
+                    // common.
                     let latency = 1.0 + f64::from(salt % 3);
-                    let bottleneck = [1.0, 1.5, 3.0][(salt % 3) as usize];
+                    let bottleneck = [1.0, 1.5, 3.0][(salt / 3 % 3) as usize];
                     slab.insert(InstanceId(next_id), inst(next_id, func, latency, bottleneck), SLO_MS);
                     model.push((next_id, func));
                     next_id += 1;
@@ -191,8 +221,14 @@ proptest! {
                     "argmin winner diverged for function {}",
                     f
                 );
+                prop_assert_eq!(
+                    slab.exclusive_view(f),
+                    view_full_scan(&slab, &model, f),
+                    "overflow view diverged for function {}",
+                    f
+                );
             }
-            slab.debug_assert_hot_consistent();
+            slab.debug_assert_hot_consistent(|_| SLO_MS);
         }
     }
 }
