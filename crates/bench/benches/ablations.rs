@@ -3,17 +3,16 @@
 //! migration, and transfer-cost sensitivity.
 //!
 //! Each arm reports both its wall-clock (Criterion) and, through the
-//! experiment module, its SLO impact (see `exp_ablation`).
+//! experiment module, its SLO impact (see `exp ablation`). The arms are
+//! the experiment's own policy substitutions, [`ablation::arms`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use ffs_experiments::runner::{run_system, SystemKind};
+use ffs_experiments::ablation;
 use ffs_mig::{Fleet, PartitionLayout, PartitionScheme};
 use ffs_pipeline::{plan_deployment, plan_deployment_unranked};
 use ffs_profile::{App, FunctionProfile, PerfModel, Variant};
-use ffs_trace::{AzureTraceConfig, WorkloadClass};
-use fluidfaas::FfsConfig;
 
 const BENCH_SECS: f64 = 30.0;
 
@@ -40,41 +39,12 @@ fn bench_cv_vs_unranked_planning(c: &mut Criterion) {
     g.finish();
 }
 
-fn run_arm(mutate: impl Fn(&mut FfsConfig)) -> f64 {
-    let mut cfg = FfsConfig::paper_default(WorkloadClass::Heavy);
-    mutate(&mut cfg);
-    let trace = AzureTraceConfig::for_workload(WorkloadClass::Heavy, BENCH_SECS, 1).generate();
-    let out = run_system(SystemKind::FluidFaaS, cfg, &trace);
-    out.log.slo_hit_rate()
-}
-
-fn bench_feature_ablations(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_features_heavy");
+fn bench_ablation_arms(c: &mut Criterion) {
+    let mut g = c.benchmark_group("ablation_arms_heavy");
     g.sample_size(10);
-    g.bench_function("full", |b| b.iter(|| black_box(run_arm(|_| {}))));
-    g.bench_function("no_time_sharing", |b| {
-        b.iter(|| black_box(run_arm(|cfg| cfg.enable_time_sharing = false)))
-    });
-    g.bench_function("no_migration", |b| {
-        b.iter(|| black_box(run_arm(|cfg| cfg.enable_migration = false)))
-    });
-    g.bench_function("no_cv_ranking", |b| {
-        b.iter(|| black_box(run_arm(|cfg| cfg.enable_cv_ranking = false)))
-    });
-    g.finish();
-}
-
-fn bench_transfer_sensitivity(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_transfer_cost");
-    g.sample_size(10);
-    for mult in [1.0_f64, 2.0, 4.0, 8.0] {
-        g.bench_function(format!("x{mult:.0}"), |b| {
-            b.iter(|| {
-                black_box(run_arm(|cfg| {
-                    cfg.perf.boundary_base_ms *= mult;
-                    cfg.perf.shm_gbps /= mult;
-                }))
-            })
+    for arm in ablation::arms() {
+        g.bench_function(&arm.name, |b| {
+            b.iter(|| black_box(ablation::run_arm(&arm, BENCH_SECS, 1)))
         });
     }
     g.finish();
@@ -83,7 +53,6 @@ fn bench_transfer_sensitivity(c: &mut Criterion) {
 criterion_group!(
     ablations,
     bench_cv_vs_unranked_planning,
-    bench_feature_ablations,
-    bench_transfer_sensitivity,
+    bench_ablation_arms
 );
 criterion_main!(ablations);

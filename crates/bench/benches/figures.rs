@@ -1,123 +1,27 @@
 //! One Criterion benchmark per paper table / figure.
 //!
-//! Each benchmark executes the same experiment code as the corresponding
-//! `exp_*` binary on a shortened trace, so `cargo bench` both regenerates
-//! the artifacts and tracks the cost of producing them.
+//! Each benchmark runs one paper entry of
+//! [`ffs_experiments::artifacts::ARTIFACTS`] (the code behind
+//! `exp <artifact>`) on a shortened trace, so `cargo bench` both
+//! regenerates the artifacts and tracks the cost of producing them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+
+use ffs_experiments::artifacts::ARTIFACTS;
 
 /// Shortened trace length for benchmarking (seconds).
 const BENCH_SECS: f64 = 30.0;
 const SEED: u64 = 1;
 
-fn bench_table2(c: &mut Criterion) {
-    c.bench_function("table2_mig_profiles", |b| {
-        b.iter(|| black_box(ffs_experiments::table2::rows()))
-    });
-}
-
-fn bench_table5(c: &mut Criterion) {
-    c.bench_function("table5_min_slices", |b| {
-        b.iter(|| black_box(ffs_experiments::table5::rows()))
-    });
-}
-
-fn bench_fig3(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig3_esg_overallocation");
+fn bench_artifacts(c: &mut Criterion) {
+    let mut g = c.benchmark_group("artifacts");
     g.sample_size(10);
-    g.bench_function("run", |b| {
-        b.iter(|| black_box(ffs_experiments::fig3::run(BENCH_SECS, SEED)))
-    });
-    g.finish();
-}
-
-fn bench_fig5(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig5_occupied_vs_active");
-    g.sample_size(10);
-    g.bench_function("run", |b| {
-        b.iter(|| black_box(ffs_experiments::fig5::run(BENCH_SECS, SEED)))
-    });
-    g.finish();
-}
-
-fn bench_fig9(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig9_slo_hit_rates");
-    g.sample_size(10);
-    g.bench_function("run", |b| {
-        b.iter(|| black_box(ffs_experiments::fig9::run(BENCH_SECS, SEED)))
-    });
-    g.finish();
-}
-
-fn bench_fig10(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig10_throughput");
-    g.sample_size(10);
-    g.bench_function("run", |b| {
-        b.iter(|| black_box(ffs_experiments::fig10::run(BENCH_SECS, SEED)))
-    });
-    g.finish();
-}
-
-fn bench_fig11_13(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig11_13_latency_cdfs");
-    g.sample_size(10);
-    for wl in ffs_trace::WorkloadClass::ALL {
-        g.bench_function(wl.name(), |b| {
-            b.iter(|| black_box(ffs_experiments::latency::run(wl, BENCH_SECS, SEED)))
-        });
+    for a in ARTIFACTS.iter().filter(|a| a.in_all) {
+        g.bench_function(a.name, |b| b.iter(|| black_box((a.run)(BENCH_SECS, SEED))));
     }
     g.finish();
 }
 
-fn bench_fig14(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig14_breakdown");
-    g.sample_size(10);
-    g.bench_function("run", |b| {
-        b.iter(|| black_box(ffs_experiments::fig14::run(BENCH_SECS, SEED)))
-    });
-    g.finish();
-}
-
-fn bench_fig15(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig15_partitions");
-    g.sample_size(10);
-    g.bench_function("run", |b| {
-        b.iter(|| black_box(ffs_experiments::fig15::run(BENCH_SECS, SEED)))
-    });
-    g.finish();
-}
-
-fn bench_fig16(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig16_utilization");
-    g.sample_size(10);
-    g.bench_function("run", |b| {
-        b.iter(|| black_box(ffs_experiments::fig16::run(BENCH_SECS, SEED)))
-    });
-    g.finish();
-}
-
-fn bench_table6(c: &mut Criterion) {
-    let mut g = c.benchmark_group("table6_resource_cost");
-    g.sample_size(10);
-    g.bench_function("run", |b| {
-        b.iter(|| black_box(ffs_experiments::table6::run(BENCH_SECS, SEED)))
-    });
-    g.finish();
-}
-
-criterion_group!(
-    figures,
-    bench_table2,
-    bench_table5,
-    bench_fig3,
-    bench_fig5,
-    bench_fig9,
-    bench_fig10,
-    bench_fig11_13,
-    bench_fig14,
-    bench_fig15,
-    bench_fig16,
-    bench_table6,
-);
+criterion_group!(figures, bench_artifacts);
 criterion_main!(figures);

@@ -59,10 +59,6 @@ pub struct FfsConfig {
     pub scaleup_headroom: f64,
     /// The autoscaler's sizing policy.
     pub scaling_policy: ScalingPolicy,
-    /// Enable eviction-based time sharing (ablation switch).
-    pub enable_time_sharing: bool,
-    /// Enable pipeline migration to monolithic instances (ablation switch).
-    pub enable_migration: bool,
     /// Enable CV ranking of partitions; when false the planner effectively
     /// takes the first feasible partition in enumeration order (ablation).
     pub enable_cv_ranking: bool,
@@ -93,8 +89,6 @@ impl FfsConfig {
             baseline_keep_alive: SimDuration::from_secs(120),
             scaleup_headroom: 0.5,
             scaling_policy: ScalingPolicy::Reactive,
-            enable_time_sharing: true,
-            enable_migration: true,
             enable_cv_ranking: true,
             drain: SimDuration::from_secs(60),
             faults: FaultSpec::disabled(),
@@ -123,6 +117,6 @@ mod tests {
         assert_eq!(c.slo_scale, 1.5);
         assert_eq!(c.keep_alive, SimDuration::from_mins(10));
         assert_eq!(c.demote_utilization, 0.30);
-        assert!(c.enable_time_sharing && c.enable_migration && c.enable_cv_ranking);
+        assert!(c.enable_cv_ranking);
     }
 }

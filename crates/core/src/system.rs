@@ -18,7 +18,7 @@ use crate::platform::events::{Event, InstanceId};
 use crate::platform::hub::MetricsHub;
 use crate::platform::policy::{
     lowest_latency_instance, route_to_instance, should_overflow_to_shared, Autoscaler, Migrator,
-    NoMigrator, NoSharedPool, Placer, PolicyBundle, Router, SharedPoolPolicy,
+    Placer, PolicyBundle, Router, SharedPoolPolicy,
 };
 use crate::platform::runner::Platform;
 
@@ -586,26 +586,18 @@ impl Migrator for FluidMigrator {
 // The platform
 // ----------------------------------------------------------------------
 
-/// The FluidFaaS policy bundle a config selects: the ablation booleans map
-/// to explicit policy substitutions (`enable_time_sharing` → shared pool
-/// on/off, `enable_migration` → migrator on/off, `enable_cv_ranking` →
-/// ranked vs first-feasible placement, `scaling_policy` → autoscaler).
+/// The FluidFaaS policy bundle a config selects: `enable_cv_ranking` picks
+/// ranked vs first-feasible placement and `scaling_policy` the autoscaler.
+/// Disabling a mechanism is a policy substitution over this bundle (see
+/// `ffs_experiments::ablation`).
 pub fn paper_policies(cfg: &FfsConfig) -> PolicyBundle {
     PolicyBundle {
         router: Box::new(FluidRouter),
-        shared: if cfg.enable_time_sharing {
-            Box::new(FluidSharedPool)
-        } else {
-            Box::new(NoSharedPool)
-        },
+        shared: Box::new(FluidSharedPool),
         autoscaler: Box::new(FluidAutoscaler {
             policy: cfg.scaling_policy,
         }),
-        migrator: if cfg.enable_migration {
-            Box::new(FluidMigrator)
-        } else {
-            Box::new(NoMigrator)
-        },
+        migrator: Box::new(FluidMigrator),
         placer: Box::new(FluidPlacer {
             ranked: cfg.enable_cv_ranking,
         }),

@@ -10,8 +10,12 @@
 use ffs_trace::{
     partition_trace, AzureTraceConfig, Invocation, ScaleTraceConfig, Trace, WorkloadClass,
 };
+use fluidfaas::platform::policy::NoSharedPool;
 use fluidfaas::platform::run_platform;
-use fluidfaas::{run_output_digest, run_sharded_fluid, FfsConfig, FluidFaaSSystem, ShardSpec};
+use fluidfaas::{
+    paper_policies, run_output_digest, run_sharded, run_sharded_fluid, FfsConfig, FluidFaaSSystem,
+    PolicyBundle, ShardSpec,
+};
 
 /// A 1-cell sharded run is the solo engine with extra steps — the epoch
 /// loop must telescope into one `run_until` and reproduce `run_platform`
@@ -108,17 +112,24 @@ fn repeated_sharded_runs_agree() {
     assert_eq!(digest(0), digest(1));
 }
 
+/// The FluidFaaS bundle without a time-sharing slot to fall back on: a
+/// backlogged function with no exclusive instance is starving, which is
+/// what the exchange forwards.
+fn no_shared_pool(cfg: &FfsConfig) -> PolicyBundle {
+    PolicyBundle {
+        shared: Box::new(NoSharedPool),
+        ..paper_policies(cfg)
+    }
+}
+
 /// Builds a two-cell scenario that actually forwards: cell 0 gets a
 /// blast of every app at once on a single tiny node (not every function
 /// can hold an instance, so some starve with queued work), while cell 1
-/// idles with identical free capacity.
+/// idles with identical free capacity. Run it with [`no_shared_pool`].
 fn overload_traces(per_app: usize) -> (FfsConfig, Vec<ffs_trace::CellTrace>) {
     let mut cfg = FfsConfig::paper_default(WorkloadClass::Medium);
     cfg.nodes = 2;
     cfg.gpus_per_node = 1;
-    // No time-sharing slot to fall back on: a backlogged function with no
-    // exclusive instance is starving, which is what the exchange forwards.
-    cfg.enable_time_sharing = false;
     let apps = WorkloadClass::Medium.apps();
     let duration = ffs_sim::SimDuration::from_secs(12);
     let mut invocations = Vec::new();
@@ -168,8 +179,13 @@ fn forwarding_fires_and_conserves_requests() {
     let total: usize = cell_traces.iter().map(|ct| ct.trace.len()).sum();
     let mut digests = Vec::new();
     for lanes in [1usize, 2] {
-        let (out, stats) = run_sharded_fluid(&cfg, cell_traces.clone(), &ShardSpec::new(2, lanes))
-            .expect("overload run");
+        let (out, stats) = run_sharded(
+            &cfg,
+            cell_traces.clone(),
+            no_shared_pool,
+            &ShardSpec::new(2, lanes),
+        )
+        .expect("overload run");
         assert!(
             stats.forwards > 0,
             "the overloaded cell must forward starving work (lanes {lanes})"

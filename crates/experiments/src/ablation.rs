@@ -15,8 +15,7 @@ use ffs_metrics::TextTable;
 use ffs_trace::WorkloadClass;
 use fluidfaas::platform::policy::{NoMigrator, NoSharedPool};
 use fluidfaas::{
-    FfsConfig, FluidAutoscaler, FluidMigrator, FluidPlacer, FluidRouter, FluidSharedPool,
-    PolicyBundle, ScalingPolicy,
+    paper_policies, FfsConfig, FluidAutoscaler, FluidPlacer, PolicyBundle, ScalingPolicy,
 };
 
 use crate::parallel::run_matrix;
@@ -36,31 +35,21 @@ pub struct AblationRow {
 }
 
 /// One ablation arm: a config plus a factory for the policy bundle the arm
-/// substitutes (a factory because bundles are consumed per run and the
-/// arms fan out across [`run_matrix`] workers).
-struct Arm {
-    name: String,
-    cfg: FfsConfig,
-    bundle: Box<dyn Fn() -> PolicyBundle + Send + Sync>,
+/// substitutes into [`paper_policies`] (a factory because bundles are
+/// consumed per run and the arms fan out across [`run_matrix`] workers).
+pub struct Arm {
+    /// Arm name.
+    pub name: String,
+    /// The config the arm runs.
+    pub cfg: FfsConfig,
+    /// Builds the arm's policy bundle for `cfg`.
+    pub bundle: fn(&FfsConfig) -> PolicyBundle,
 }
 
-/// The complete FluidFaaS policy bundle (the "full" arm and the base the
-/// others substitute into).
-fn full_bundle() -> PolicyBundle {
-    PolicyBundle {
-        router: Box::new(FluidRouter),
-        shared: Box::new(FluidSharedPool),
-        autoscaler: Box::new(FluidAutoscaler {
-            policy: ScalingPolicy::Reactive,
-        }),
-        migrator: Box::new(FluidMigrator),
-        placer: Box::new(FluidPlacer { ranked: true }),
-    }
-}
-
-fn run_arm(arm: &Arm, duration_secs: f64, seed: u64) -> AblationRow {
+/// Runs one arm on the bursty trace of its workload.
+pub fn run_arm(arm: &Arm, duration_secs: f64, seed: u64) -> AblationRow {
     let trace = shared_workload_trace(arm.cfg.workload, duration_secs, seed);
-    let out = run_fluid_with(arm.cfg.clone(), (arm.bundle)(), &trace);
+    let out = run_fluid_with(arm.cfg.clone(), (arm.bundle)(&arm.cfg), &trace);
     AblationRow {
         arm: arm.name.clone(),
         slo_hit_rate: out.log.slo_hit_rate(),
@@ -73,52 +62,57 @@ fn run_arm(arm: &Arm, duration_secs: f64, seed: u64) -> AblationRow {
 /// matters most). The arms are independent and run in parallel; row order
 /// is the arm-definition order.
 pub fn run(duration_secs: f64, seed: u64) -> Vec<AblationRow> {
+    run_matrix(&arms(), |arm| run_arm(arm, duration_secs, seed))
+}
+
+/// The ablation arms, in row order.
+pub fn arms() -> Vec<Arm> {
     let workload = WorkloadClass::Heavy;
     let cfg = FfsConfig::paper_default(workload);
     let mut arms: Vec<Arm> = vec![
         Arm {
             name: "full".into(),
             cfg: cfg.clone(),
-            bundle: Box::new(full_bundle),
+            bundle: paper_policies,
         },
         // Unranked placement: take the first feasible partition instead of
         // the best CV-ranked one.
         Arm {
             name: "no-cv-ranking".into(),
             cfg: cfg.clone(),
-            bundle: Box::new(|| PolicyBundle {
+            bundle: |cfg| PolicyBundle {
                 placer: Box::new(FluidPlacer { ranked: false }),
-                ..full_bundle()
-            }),
+                ..paper_policies(cfg)
+            },
         },
         Arm {
             name: "no-time-sharing".into(),
             cfg: cfg.clone(),
-            bundle: Box::new(|| PolicyBundle {
+            bundle: |cfg| PolicyBundle {
                 shared: Box::new(NoSharedPool),
-                ..full_bundle()
-            }),
+                ..paper_policies(cfg)
+            },
         },
         Arm {
             name: "no-migration".into(),
             cfg: cfg.clone(),
-            bundle: Box::new(|| PolicyBundle {
+            bundle: |cfg| PolicyBundle {
                 migrator: Box::new(NoMigrator),
-                ..full_bundle()
-            }),
+                ..paper_policies(cfg)
+            },
         },
         // Model-based (Erlang-C) autoscaling instead of reactive.
         Arm {
             name: "erlang-c-scaling".into(),
             cfg,
-            bundle: Box::new(|| PolicyBundle {
+            bundle: |cfg| PolicyBundle {
                 autoscaler: Box::new(FluidAutoscaler {
                     policy: ScalingPolicy::ErlangC {
                         target_wait_frac: 0.25,
                     },
                 }),
-                ..full_bundle()
-            }),
+                ..paper_policies(cfg)
+            },
         },
     ];
 
@@ -131,11 +125,10 @@ pub fn run(duration_secs: f64, seed: u64) -> Vec<AblationRow> {
         arms.push(Arm {
             name: format!("transfer-x{mult:.0}"),
             cfg,
-            bundle: Box::new(full_bundle),
+            bundle: paper_policies,
         });
     }
-
-    run_matrix(&arms, |arm| run_arm(arm, duration_secs, seed))
+    arms
 }
 
 /// Renders the ablation table.
@@ -217,7 +210,7 @@ mod tests {
     fn full_arm_matches_config_built_system() {
         let cfg = FfsConfig::paper_default(WorkloadClass::Heavy);
         let trace = shared_workload_trace(WorkloadClass::Heavy, 30.0, 9);
-        let via_bundle = run_fluid_with(cfg.clone(), full_bundle(), &trace);
+        let via_bundle = run_fluid_with(cfg.clone(), paper_policies(&cfg), &trace);
         let mut stock = FluidFaaSSystem::new(cfg, &trace);
         let via_config = fluidfaas::platform::runner::run_platform(&mut stock, &trace);
         assert_eq!(

@@ -191,7 +191,7 @@ pub fn render_detail(cells: &[FairnessCell]) -> String {
     t.render()
 }
 
-/// One row of the compact summary `BENCH_harness.json` records.
+/// One row of the compact summary `BENCH_fairness.json` records.
 #[derive(Clone, Debug)]
 pub struct FairnessSummaryRow {
     /// Scenario key (snake_case).
@@ -209,7 +209,7 @@ pub struct FairnessSummaryRow {
     pub tenant_p99_ms: Vec<(u32, Option<f64>)>,
 }
 
-/// The fairness section of `BENCH_harness.json`: every cell's Jain /
+/// The fairness section of `BENCH_fairness.json`: every cell's Jain /
 /// per-tenant p99, plus the noisy-neighbor MQFQ-vs-ESG comparison the
 /// `fairness-smoke` CI job gates on.
 #[derive(Clone, Debug)]
@@ -226,7 +226,7 @@ pub struct FairnessSummary {
     pub esg_jain_noisy: f64,
 }
 
-/// Collapses the sweep into the `BENCH_harness.json` summary.
+/// Collapses the sweep into the `BENCH_fairness.json` summary.
 pub fn summarize(cells: &[FairnessCell]) -> FairnessSummary {
     let jain_of = |system: FairSystem| {
         cell(cells, system, FairnessScenario::NoisyNeighbor)

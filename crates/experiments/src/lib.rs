@@ -1,8 +1,9 @@
 //! # ffs-experiments — regenerating every table and figure of the paper
 //!
 //! One module per evaluation artifact. Each experiment is a pure function
-//! from (duration, seed) to structured rows, so the `exp_*` binaries, the
+//! from (duration, seed) to structured rows, so the `exp` binary, the
 //! integration tests and the Criterion benches all share the same code.
+//! [`artifacts::ARTIFACTS`] names them for `exp <artifact>`.
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -24,6 +25,7 @@
 //! | [`scale`] | sharded-engine scale sweep (16→4096 GPUs, lane-count cross-check) |
 
 pub mod ablation;
+pub mod artifacts;
 pub mod fairness;
 pub mod fig10;
 pub mod fig14;
@@ -44,6 +46,4 @@ pub mod table5;
 pub mod table6;
 pub mod trace_out;
 
-pub use parallel::{run_matrix, run_matrix_with_threads};
-pub use runner::{run_workload, saturating_trace, SystemKind};
-pub use trace_out::{init_trace_cli, trace_dir};
+pub use trace_out::trace_dir;

@@ -8,9 +8,9 @@
 //! atomic work index and returns results **in spec order**, so parallel
 //! output is byte-identical to a sequential loop.
 //!
-//! The harness also keeps global wall-clock counters per run; binaries use
-//! [`bench_report`]/[`write_bench_json`] to emit `BENCH_harness.json` and
-//! track the perf trajectory across PRs.
+//! The harness also keeps global wall-clock counters per run; the `exp`
+//! sweeps use [`bench_report`]/[`write_bench_json`] to emit their BENCH
+//! records and track the perf trajectory across PRs.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -317,7 +317,7 @@ pub fn arena_report() -> ArenaReport {
     }
 }
 
-/// One phase's merged totals, as reported in `BENCH_harness.json`.
+/// One phase's merged totals, as reported in a BENCH record.
 #[derive(Clone, Debug)]
 pub struct PhaseRow {
     /// Phase name (snake_case, matches the exposition labels).
@@ -346,7 +346,7 @@ pub fn harness_busy_secs() -> f64 {
     BUSY_NANOS.load(Ordering::Relaxed) as f64 / 1e9
 }
 
-/// The numbers `BENCH_harness.json` records.
+/// The numbers a BENCH record holds.
 #[derive(Clone, Debug)]
 pub struct BenchReport {
     /// End-to-end wall-clock of the measured section (seconds).
@@ -368,18 +368,18 @@ pub struct BenchReport {
     pub plan_cache_hits: u64,
     /// FluidFaaS launch-plan cache misses accumulated across all runs.
     pub plan_cache_misses: u64,
-    /// Resilience-sweep summary, when the section ran one
-    /// (`exp_all` / `exp_resilience` set it; other binaries leave `None`).
+    /// Resilience-sweep summary, when the section ran one (`exp all` sets
+    /// it; the other sweeps leave `None`).
     pub resilience: Option<crate::resilience::ResilienceSummary>,
-    /// Scale-sweep summary, when the section ran one (`exp_scale` sets
-    /// it; other binaries leave `None`).
+    /// Scale-sweep summary, when the section ran one (`exp scale` sets
+    /// it; the other sweeps leave `None`).
     pub scale: Option<crate::scale::ScaleSummary>,
     /// Multi-core probe (one sharded fleet at 1 lane vs `FFS_SHARDS`
-    /// lanes), when the section ran one (`exp_all` sets it after the
-    /// sequential sweep; other binaries leave `None`).
+    /// lanes), when the section ran one (`exp all` sets it after the
+    /// sequential sweep; the other sweeps leave `None`).
     pub multicore: Option<crate::scale::MulticoreSummary>,
-    /// Fairness-sweep summary, when the section ran one (`exp_fairness`
-    /// sets it; other binaries leave `None`).
+    /// Fairness-sweep summary, when the section ran one (`exp fairness`
+    /// sets it; the other sweeps leave `None`).
     pub fairness: Option<crate::fairness::FairnessSummary>,
     /// Per-worker-slot totals (slot 0 is the sequential path), for spotting
     /// per-worker skew in the parallel harness.
@@ -573,11 +573,7 @@ pub fn write_bench_json(path: &Path, report: &BenchReport) -> std::io::Result<()
             m.parallel_wall_secs,
             m.sequential_events_per_sec,
             m.parallel_events_per_sec,
-            if m.sequential_events_per_sec > 0.0 {
-                m.parallel_events_per_sec / m.sequential_events_per_sec
-            } else {
-                0.0
-            },
+            m.speedup(),
             m.cross_check,
         ),
         None => String::new(),

@@ -7,7 +7,7 @@
 //! once on a single lane and once on `FFS_SHARDS` lanes — cross-checking
 //! that both produce the same [`fluidfaas::run_output_digest`]. Rows
 //! report runs/s, events/s, peak RSS, forwarding volume and per-cell
-//! event imbalance; `exp_scale` folds them into `BENCH_harness.json`
+//! event imbalance; `exp scale` folds them into `BENCH_scale.json`
 //! under the `"scale"` key.
 //!
 //! Knobs: `FFS_SCALE_GPUS` (comma-separated fleet sizes, default
@@ -23,7 +23,7 @@ use ffs_trace::{ScaleTraceConfig, WorkloadClass};
 use fluidfaas::{run_output_digest, run_sharded_fluid, FfsConfig, ShardSpec};
 
 /// Peak-RSS ceiling for the scale sweep, in kB (2 GiB). The scale-smoke
-/// CI job enforces it externally; `exp_scale` also asserts it in-process
+/// CI job enforces it externally; `exp scale` also asserts it in-process
 /// so a local run fails the same way CI would.
 pub const RSS_CEILING_KB: u64 = 2 * 1024 * 1024;
 
@@ -255,6 +255,18 @@ pub struct MulticoreSummary {
     pub parallel_events_per_sec: f64,
     /// `"ok"` when both arms produced the same output digest.
     pub cross_check: String,
+}
+
+impl MulticoreSummary {
+    /// Parallel over sequential events/s (0 when the sequential arm did
+    /// nothing).
+    pub fn speedup(&self) -> f64 {
+        if self.sequential_events_per_sec > 0.0 {
+            self.parallel_events_per_sec / self.sequential_events_per_sec
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Runs the multicore probe: a 1024-GPU fleet (64 cells) over a

@@ -1,7 +1,6 @@
-//! Trace-output wiring for the experiment binaries.
+//! Trace-output wiring for the `exp` binary.
 //!
-//! When `FFS_TRACE=<dir>` is set (or a binary is invoked with
-//! `--trace <dir>`), every simulation run executed through
+//! When `FFS_TRACE=<dir>` is set, every simulation run executed through
 //! [`crate::runner::run_system`] records its control-plane decisions into a
 //! per-run [`ffs_obs::Recorder`] and exports two artifacts on completion:
 //!
@@ -17,51 +16,22 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
-fn dir_cell() -> &'static OnceLock<Option<PathBuf>> {
-    static CELL: OnceLock<Option<PathBuf>> = OnceLock::new();
-    &CELL
-}
-
-fn env_dir() -> Option<PathBuf> {
-    std::env::var_os("FFS_TRACE").map(PathBuf::from)
-}
-
-/// The resolved trace output directory, if tracing is active. The first
-/// call resolves `FFS_TRACE` (unless [`init_trace_cli`] already resolved a
-/// `--trace` flag), creates the directory and flips the global recording
-/// switch on.
+/// The resolved trace output directory (`FFS_TRACE`), if tracing is
+/// active. The first call creates the directory and flips the global
+/// recording switch on.
 pub fn trace_dir() -> Option<&'static Path> {
-    static SIDE_EFFECTS: Once = Once::new();
-    let dir = dir_cell().get_or_init(env_dir).as_deref();
-    if let Some(d) = dir {
-        SIDE_EFFECTS.call_once(|| {
-            if let Err(e) = std::fs::create_dir_all(d) {
-                eprintln!("trace: cannot create {}: {e}", d.display());
-            }
-            ffs_obs::set_enabled(true);
-        });
-    }
-    dir
-}
-
-/// Parses `--trace <dir>` / `--trace=<dir>` from the process arguments and
-/// initializes tracing (falling back to `FFS_TRACE`). Call once at the top
-/// of an experiment binary's `main`; later `--trace` values lose to the
-/// first initialization.
-pub fn init_trace_cli() {
-    let mut args = std::env::args().skip(1);
-    let mut cli: Option<PathBuf> = None;
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            cli = args.next().map(PathBuf::from);
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            cli = Some(PathBuf::from(p));
+    static DIR: OnceLock<Option<PathBuf>> = OnceLock::new();
+    DIR.get_or_init(|| {
+        let dir = PathBuf::from(std::env::var_os("FFS_TRACE")?);
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            eprintln!("trace: cannot create {}: {e}", dir.display());
         }
-    }
-    let _ = dir_cell().get_or_init(|| cli.or_else(env_dir));
-    let _ = trace_dir();
+        ffs_obs::set_enabled(true);
+        Some(dir)
+    })
+    .as_deref()
 }
 
 /// Allocates the next unique tag for `system` (e.g. `fluidfaas_0003`).

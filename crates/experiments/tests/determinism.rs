@@ -170,7 +170,7 @@ fn telemetry_does_not_perturb_simulation_output() {
 // as raw bit patterns, so even sub-ulp drift fails.
 // ---------------------------------------------------------------------
 
-/// One run per `SystemKind` per workload class (the `exp_all` sweep shape).
+/// One run per `SystemKind` per workload class (the `exp all` sweep shape).
 fn render_systems_golden() -> String {
     let mut s = String::new();
     for workload in [
@@ -201,7 +201,7 @@ fn render_systems_golden() -> String {
     s
 }
 
-/// Every `exp_ablation` arm (policy substitutions post-refactor).
+/// Every `exp ablation` arm (policy substitutions post-refactor).
 fn render_ablation_golden() -> String {
     let rows = ffs_experiments::ablation::run(SECS, SEED);
     let mut s = String::new();

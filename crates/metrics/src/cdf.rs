@@ -1,9 +1,7 @@
 //! Latency CDFs and percentiles (Figures 11–13).
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical latency distribution.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LatencyCdf {
     sorted_ms: Vec<f64>,
 }

@@ -1,11 +1,9 @@
 //! Per-request lifecycle records and aggregate SLO / throughput metrics.
 
-use serde::{Deserialize, Serialize};
-
 use ffs_sim::{SimDuration, SimTime};
 
 /// Where a request's end-to-end latency went (Figure 14's breakdown).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Breakdown {
     /// Waiting in queues (controller, load balancer, instance, stage).
     pub queue_ms: f64,
@@ -26,7 +24,7 @@ impl Breakdown {
 }
 
 /// One completed (or dropped) request.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RequestRecord {
     /// Trace-wide request id.
     pub id: u64,
@@ -41,9 +39,7 @@ pub struct RequestRecord {
     pub slo_ms: f64,
     /// Latency breakdown.
     pub breakdown: Breakdown,
-    /// Owning tenant (fairness accounting). Defaults to 0 when absent,
-    /// so pre-tenant serialized logs still deserialize.
-    #[serde(default)]
+    /// Owning tenant (fairness accounting).
     pub tenant: u32,
 }
 
@@ -64,7 +60,7 @@ impl RequestRecord {
 }
 
 /// Append-only log of request records with aggregate queries.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RequestLog {
     records: Vec<RequestRecord>,
 }

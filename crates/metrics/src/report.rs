@@ -1,9 +1,9 @@
-//! Plain-text tables for the experiment binaries' output.
+//! Plain-text tables for the `exp` binary's output.
 
 use std::fmt::Write as _;
 
 /// A simple aligned text table, matching the row/column structure of the
-/// paper's tables so `exp_*` binaries print directly comparable output.
+/// paper's tables so `exp` prints directly comparable output.
 #[derive(Clone, Debug)]
 pub struct TextTable {
     headers: Vec<String>,

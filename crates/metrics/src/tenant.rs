@@ -7,8 +7,6 @@
 //! fairness experiments therefore report per-tenant attainment (after
 //! HAS-GPU) and a single scalar fairness figure (Jain's index) per system.
 
-use serde::{Deserialize, Serialize};
-
 use ffs_sim::SimDuration;
 
 use crate::cdf::LatencyCdf;
@@ -33,7 +31,7 @@ pub fn jain_index(allocations: &[f64]) -> f64 {
 }
 
 /// Fairness-relevant aggregates for one tenant.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TenantStats {
     /// The tenant id.
     pub tenant: u32,
@@ -54,7 +52,7 @@ pub struct TenantStats {
 }
 
 /// Per-tenant view of one run's request log.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TenantReport {
     /// One row per tenant, ascending by tenant id.
     pub tenants: Vec<TenantStats>,

@@ -5,7 +5,7 @@
 //! `inferno-flamegraph` or Brendan Gregg's `flamegraph.pl`:
 //!
 //! ```text
-//! cargo run --release -p ffs-experiments --bin exp_all
+//! cargo run --release -p ffs-experiments --bin exp -- all
 //! inferno-flamegraph < telemetry.folded > engine_flame.svg
 //! ```
 //!
